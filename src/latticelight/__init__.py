@@ -33,7 +33,7 @@ from .lattice import (
 )
 from .moments import (
     NumericalInconsistencyError,
-    ObservableSample,
+    Trace,
     g2,
     mean_photons,
     trace_observables,
@@ -90,7 +90,7 @@ __all__ = [
     "build_tmsv",
     "moments_of",
     "NumericalInconsistencyError",
-    "ObservableSample",
+    "Trace",
     "g2",
     "mean_photons",
     "trace_observables",

@@ -65,25 +65,16 @@ def build_sector_hamiltonian(
         )
     occupations = basis.occupations[start:stop]
     matrix = np.zeros((dim, dim))
-    for i, occ in enumerate(occupations):
-        matrix[i, i] = float(np.dot(spec.omegas, occ))
-        for j in range(spec.size - 1):
-            if occ[j + 1] > 0:
-                target = occ.copy()
-                target[j] += 1
-                target[j + 1] -= 1
-                t = basis.index_of(target) - start
-                matrix[t, i] = spec.couplings[j] * math.sqrt(
-                    (occ[j] + 1) * occ[j + 1]
-                )
-            if occ[j] > 0:
-                target = occ.copy()
-                target[j] -= 1
-                target[j + 1] += 1
-                t = basis.index_of(target) - start
-                matrix[t, i] = spec.couplings[j] * math.sqrt(
-                    occ[j] * (occ[j + 1] + 1)
-                )
+    matrix[np.arange(dim), np.arange(dim)] = occupations @ spec.omegas
+    for j, coupling in enumerate(spec.couplings):
+        # one photon hops from mode src to mode dst
+        for src, dst in ((j + 1, j), (j, j + 1)):
+            columns = np.nonzero(occupations[:, src] > 0)[0]
+            target = occupations[columns]
+            amplitude = np.sqrt(((target[:, dst] + 1) * target[:, src]).astype(float))
+            target[:, src] -= 1
+            target[:, dst] += 1
+            matrix[basis.rank(target) - start, columns] = coupling * amplitude
     return SectorHamiltonian(n, matrix, basis, start, stop)
 
 
@@ -111,11 +102,11 @@ class FockEvolver:
         return self._decompositions[n]
 
     def evolve(self, state: FockState, z: float) -> FockState:
-        """Propagate a state over distance z, sector by sector."""
+        """Propagate a state over distance z >= 0, sector by sector."""
         if not state.basis.same_shape(self.basis):
             raise ValueError("state basis does not match the evolver basis")
-        if not math.isfinite(z):
-            raise ValueError("propagation distance z must be finite")
+        if not (math.isfinite(z) and z >= 0):
+            raise ValueError("propagation distance z must be finite and >= 0")
         out = np.array(state.amplitudes, dtype=complex)
         for n in range(self.basis.max_total + 1):
             start, stop = self.basis.sector(n)
@@ -145,9 +136,7 @@ def mirror_state(state: FockState) -> FockState:
     """State with all occupation vectors reversed (mode j -> N - 1 - j)."""
     basis = state.basis
     amps = np.zeros(basis.size, dtype=complex)
-    for i in range(basis.size):
-        mirrored = basis.index_of(basis.occupations[i][::-1])
-        amps[mirrored] = state.amplitudes[i]
+    amps[basis.rank(basis.occupations[:, ::-1])] = state.amplitudes
     return FockState(basis, amps, tail_mass=state.tail_mass)
 
 

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Spectrum, TransferMatrix, transfer_matrix
+from .spectral import Spectrum, TransferMatrix
 from .states import MomentSet
 
 __all__ = [
     "NumericalInconsistencyError",
-    "ObservableSample",
+    "Trace",
     "mean_photons",
     "g2",
     "trace_observables",
@@ -33,12 +33,17 @@ class NumericalInconsistencyError(RuntimeError):
 
 
 @dataclass(frozen=True, eq=False)
-class ObservableSample:
-    """Observables at one propagation distance."""
+class Trace:
+    """Observables along a propagation-distance grid.
 
-    z: float
-    mean_photons: np.ndarray
-    g2: dict[tuple[int, int], float]
+    ``means[i, j]`` is the mean photon number of waveguide j at ``z[i]`` and
+    ``g2[i, k]`` the correlation <n_p n_q> there, for (p, q) = ``pairs[k]``.
+    """
+
+    z: np.ndarray
+    means: np.ndarray
+    g2: np.ndarray
+    pairs: tuple[tuple[int, int], ...]
 
 
 def mean_photons(U: TransferMatrix, m: MomentSet) -> np.ndarray:
@@ -46,11 +51,7 @@ def mean_photons(U: TransferMatrix, m: MomentSet) -> np.ndarray:
     if U.size != m.num_modes:
         raise ValueError("transfer matrix and moments have different mode counts")
     values = np.einsum("pk,kl,pl->p", U.entries.conj(), m.second, U.entries)
-    worst = float(np.max(np.abs(values.imag)))
-    if worst > _IMAG_LIMIT:
-        raise NumericalInconsistencyError(
-            f"mean photon numbers acquired imaginary part {worst:.3e}"
-        )
+    _check_real(values, "mean photon numbers acquired imaginary part {:.3e}")
     return values.real.copy()
 
 
@@ -93,36 +94,58 @@ def trace_observables(
     m: MomentSet,
     z_grid,
     pairs=(),
-) -> list[ObservableSample]:
-    """Observables sampled along a propagation-distance grid.
+) -> Trace:
+    """Mean photon numbers and correlations along a propagation-distance grid.
 
-    ``pairs`` selects which (p, q) correlations to evaluate; an empty list
-    yields samples with mean photon numbers only.  Each sample is checked
-    for photon conservation and non-negative means before it is returned.
+    The transfer matrices of the whole grid form one [Z, N, N] stack, which
+    is contracted with the second moments for the means and, through the
+    products U[a, l] U[b, m] of the two rows of each pair, with the fourth
+    moments read as an N^2 x N^2 matrix for the correlations.  The grid
+    must be finite, non-negative and sorted ascending; ``pairs`` selects the
+    (p, q) correlations (none yields means only).  The result is checked for
+    imaginary parts, negative means and photon-number drift with the
+    tolerances of ``mean_photons`` and ``g2``.
     """
     z_values = np.asarray(z_grid, dtype=float)
     if z_values.ndim != 1:
         raise ValueError("z_grid must be one-dimensional")
-    if not np.all(np.isfinite(z_values)):
-        raise ValueError("z_grid must be finite")
+    if not np.all(np.isfinite(z_values) & (z_values >= 0)):
+        raise ValueError("propagation distance z must be finite and >= 0")
     if np.any(np.diff(z_values) < 0):
         raise ValueError("z_grid must be sorted ascending")
-    pair_list = [(int(p), int(q)) for p, q in pairs]
+    N = spectrum.size
+    if N != m.num_modes:
+        raise ValueError("transfer matrix and moments have different mode counts")
+    pair_list = tuple((int(p), int(q)) for p, q in pairs)
+    a, b = np.sort(np.array(pair_list, dtype=np.int64).reshape(-1, 2), axis=1).T
+    if a.size and (a.min() < 0 or b.max() >= N):
+        raise ValueError(f"pair indices out of range for {N} modes")
 
-    total = m.total_photons()
-    samples = []
-    for z in z_values:
-        U = transfer_matrix(spectrum, z)
-        means = mean_photons(U, m)
-        if float(np.min(means)) < -1e-10:
-            raise NumericalInconsistencyError(
-                f"negative mean photon number {np.min(means):.3e} at z={z}"
-            )
-        drift = abs(float(np.sum(means)) - total)
-        if drift > 1e-10:
-            raise NumericalInconsistencyError(
-                f"total photon number drifted by {drift:.3e} at z={z}"
-            )
-        correlations = {pair: g2(U, m, *pair) for pair in pair_list}
-        samples.append(ObservableSample(float(z), means, correlations))
-    return samples
+    V = spectrum.eigenvectors
+    phases = np.exp(-1j * np.multiply.outer(z_values, spectrum.eigenvalues))
+    U = (V.T * phases[:, None, :]) @ V
+    # <n_p> = sum_kl conj(U[p, k]) second[k, l] U[p, l]
+    means = np.sum((U.conj() @ m.second) * U, axis=-1)
+    _check_real(means, "mean photon numbers acquired imaginary part {:.3e}")
+    lowest = means.real.min(axis=1)
+    drift = np.abs(means.real.sum(axis=1) - m.total_photons())
+    for values, bad, what in (
+        (lowest, lowest < -1e-10, "negative mean photon number"),
+        (drift, drift > 1e-10, "total photon number drifted by"),
+    ):
+        if np.any(bad):
+            i = np.argmax(bad)
+            raise NumericalInconsistencyError(f"{what} {values[i]:.3e} at z={z_values[i]}")
+
+    rows = (U[:, a, :, None] * U[:, b, None, :]).reshape(z_values.size, a.size, N * N)
+    corr = np.sum(rows.conj() * (rows @ m.fourth.reshape(N * N, N * N).T), axis=-1)
+    # for p == q the commutator adds <n_p> on top of the normally-ordered part
+    corr += np.where(a == b, means[:, a], 0.0)
+    _check_real(corr, "pair correlations acquired imaginary part {:.3e}")
+    return Trace(z_values, means.real.copy(), corr.real.copy(), pair_list)
+
+
+def _check_real(values: np.ndarray, message: str) -> None:
+    worst = float(np.max(np.abs(values.imag), initial=0.0))
+    if worst > _IMAG_LIMIT:
+        raise NumericalInconsistencyError(message.format(worst))

@@ -22,7 +22,7 @@ from .lattice import (
     make_perfect_transfer,
     make_uniform,
 )
-from .moments import NumericalInconsistencyError, trace_observables
+from .moments import NumericalInconsistencyError, Trace, trace_observables
 from .spectral import eigendecompose
 from .states import (
     FockBasis,
@@ -35,7 +35,8 @@ from .states import (
 )
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config",
-           "parse_lattice", "run_spectrum", "run_propagate"]
+           "parse_lattice", "run_spectrum", "run_propagate", "fock_trace",
+           "engine_gap"]
 
 INDEXING_NOTE = "# waveguide indices are 0-based: index 0 is the first waveguide"
 
@@ -213,65 +214,60 @@ def run_propagate(raw: dict) -> str:
     used as a cross-check at tolerance max(1e-8, 10 * tail_mass).
     """
     cfg = parse_config(raw)
-    N = cfg.spec.size
-    want_moments = cfg.engine in ("moments", "both")
-    want_fock = cfg.engine in ("fock", "both")
-
-    moment_samples = None
-    if want_moments:
-        spectrum = eigendecompose(cfg.spec)
-        moment_samples = trace_observables(
-            spectrum, moments_of(cfg.state), cfg.z_values, cfg.pairs
+    traces = {}
+    fidelities = np.empty((cfg.z_values.size, 0))
+    if cfg.engine in ("moments", "both"):
+        traces["moments"] = trace_observables(
+            eigendecompose(cfg.spec), moments_of(cfg.state), cfg.z_values, cfg.pairs
         )
-
-    fock_rows = None
-    if want_fock:
-        evolver = FockEvolver(cfg.spec, cfg.basis)
-        target_states = {
-            "initial": cfg.state,
-            "mirror": mirror_state(cfg.state),
-        }
-        fock_rows = []
-        for z in cfg.z_values:
-            evolved = evolver.evolve(cfg.state, float(z))
-            means = np.array([expectation_n(evolved, j) for j in range(N)])
-            fids = [
-                fidelity(target_states[name], evolved) for name in cfg.fidelity_targets
-            ]
-            corr = {pair: expectation_g2(evolved, *pair) for pair in cfg.pairs}
-            fock_rows.append((float(z), means, fids, corr))
-
-    if want_moments and want_fock:
+    if cfg.engine in ("fock", "both"):
+        traces["fock"], fidelities = fock_trace(
+            FockEvolver(cfg.spec, cfg.basis), cfg.state, cfg.z_values, cfg.pairs,
+            cfg.fidelity_targets,
+        )
+    if len(traces) == 2:
         tolerance = max(1e-8, 10.0 * cfg.state.tail_mass)
-        worst = 0.0
-        for sample, (_, means, _, corr) in zip(moment_samples, fock_rows):
-            worst = max(worst, float(np.max(np.abs(sample.mean_photons - means))))
-            for pair in cfg.pairs:
-                worst = max(worst, abs(sample.g2[pair] - corr[pair]))
+        worst = engine_gap(traces["moments"], traces["fock"])
         if worst > tolerance:
             raise NumericalInconsistencyError(
                 f"engines disagree by {worst:.3e} (tolerance {tolerance:.3e})"
             )
+    shown = traces.get("fock") or traces["moments"]
 
-    header = ["z"] + [f"n_{j}" for j in range(N)]
+    header = ["z"] + [f"n_{j}" for j in range(cfg.spec.size)]
     header += [f"F_{name}" for name in cfg.fidelity_targets]
     header += [f"g2_{p}_{q}" for p, q in cfg.pairs]
     lines = [INDEXING_NOTE, ",".join(header)]
-
-    if want_fock:
-        for z, means, fids, corr in fock_rows:
-            cells = [_fmt(z)]
-            cells.extend(_fmt(v) for v in means)
-            cells.extend(_fmt(v) for v in fids)
-            cells.extend(_fmt(corr[pair]) for pair in cfg.pairs)
-            lines.append(",".join(cells))
-    else:
-        for sample in moment_samples:
-            cells = [_fmt(sample.z)]
-            cells.extend(_fmt(v) for v in sample.mean_photons)
-            cells.extend(_fmt(sample.g2[pair]) for pair in cfg.pairs)
-            lines.append(",".join(cells))
+    for row in zip(shown.z, shown.means, fidelities, shown.g2):
+        lines.append(",".join(_fmt(v) for v in np.hstack(row)))
     return "\n".join(lines) + "\n"
+
+
+def fock_trace(evolver: FockEvolver, state: FockState, z_values, pairs=(), targets=()):
+    """Fock-engine observables along a z grid.
+
+    Returns a Trace of the mean photon numbers and pair correlations, and
+    the fidelities [Z, T] against the named ``targets`` ('initial' or
+    'mirror').
+    """
+    target_states = [state if name == "initial" else mirror_state(state) for name in targets]
+    z_values = np.asarray(z_values, dtype=float)
+    N = state.basis.num_modes
+    means = np.empty((z_values.size, N))
+    fids = np.empty((z_values.size, len(target_states)))
+    g2 = np.empty((z_values.size, len(pairs)))
+    for i, z in enumerate(z_values):
+        evolved = evolver.evolve(state, float(z))
+        means[i] = [expectation_n(evolved, j) for j in range(N)]
+        fids[i] = [fidelity(target, evolved) for target in target_states]
+        g2[i] = [expectation_g2(evolved, p, q) for p, q in pairs]
+    return Trace(z_values, means, g2, tuple((int(p), int(q)) for p, q in pairs)), fids
+
+
+def engine_gap(first: Trace, second: Trace) -> float:
+    """Largest absolute difference between two traces of the same grid and pairs."""
+    gaps = np.abs(np.hstack((first.means - second.means, first.g2 - second.g2)))
+    return float(np.max(gaps, initial=0.0))
 
 
 def _build_state(section, basis: FockBasis) -> FockState:

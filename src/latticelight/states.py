@@ -41,6 +41,10 @@ class FockBasis:
     mode indices first, e.g. for two modes and total 2: (2,0), (1,1), (0,2).
     With that ordering the one-photon sector runs through the modes in
     order, so its Hamiltonian block coincides with the coupling matrix.
+
+    Positions are computed, not looked up: ``rank`` maps occupation vectors
+    to their indices by counting the compositions that precede them
+    (combinatorial ranking, Knuth TAOCP 4A, 7.2.1.3).
     """
 
     def __init__(self, num_modes: int, max_total: int):
@@ -48,36 +52,56 @@ class FockBasis:
             raise ValueError("need at least one mode")
         if max_total < 0:
             raise ValueError("max_total must be non-negative")
-        self.num_modes = int(num_modes)
+        self.num_modes = N = int(num_modes)
         self.max_total = int(max_total)
-        states: list[tuple[int, ...]] = []
-        self._sector_bounds: list[tuple[int, int]] = []
-        for total in range(max_total + 1):
-            start = len(states)
-            states.extend(_compositions(total, num_modes))
-            self._sector_bounds.append((start, len(states)))
-        self.occupations = np.array(states, dtype=np.int64)
+        self.occupations = np.concatenate(_compositions(N, self.max_total))
         self.occupations.setflags(write=False)
-        self._index = {occ: i for i, occ in enumerate(states)}
+        # offsets[n] = number of basis states with fewer than n photons
+        self._offsets = np.array(
+            [math.comb(n + N - 1, N) for n in range(self.max_total + 2)], dtype=np.int64
+        )
+        # _preceding[j, r]: compositions of the same total that share the
+        # entries before j and hold more photons at j, when the modes after
+        # j hold r photons; these precede in descending lexicographic order
+        self._preceding = np.array(
+            [[math.comb(r + N - j - 2, N - j - 1) for r in range(self.max_total + 1)]
+             for j in range(N - 1)],
+            dtype=np.int64,
+        ).reshape(N - 1, self.max_total + 1)
         self._lowering_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     @property
     def size(self) -> int:
         return self.occupations.shape[0]
 
+    def rank(self, occupations) -> np.ndarray:
+        """Basis indices of occupation vectors given along the last axis."""
+        occ = np.asarray(occupations, dtype=np.int64)
+        totals = occ.sum(axis=-1)
+        if occ.shape[-1:] != (self.num_modes,) or (
+            occ.size and (occ.min() < 0 or totals.max() > self.max_total)
+        ):
+            raise ValueError(
+                f"occupations need {self.num_modes} non-negative entries "
+                f"with total at most {self.max_total}"
+            )
+        # photons held by the modes after j, for j = 0 .. N - 2
+        after = totals[..., None] - np.cumsum(occ[..., :-1], axis=-1)
+        within = self._preceding[np.arange(self.num_modes - 1), after].sum(axis=-1)
+        return self._offsets[totals] + within
+
     def index_of(self, occupation) -> int:
         """Position of an occupation vector in the basis."""
-        key = tuple(int(n) for n in occupation)
-        try:
-            return self._index[key]
-        except KeyError:
-            raise ValueError(f"occupation {key} is not in the basis") from None
+        occ = np.asarray(occupation)
+        if occ.shape != (self.num_modes,):
+            raise ValueError(f"occupation {tuple(occ.tolist())} is not in the basis")
+        return int(self.rank(occ))
 
     def sector(self, total: int) -> tuple[int, int]:
         """Index range [start, stop) of the fixed-total-photon sector."""
         if not 0 <= total <= self.max_total:
             raise ValueError(f"no sector with {total} photons in this basis")
-        return self._sector_bounds[total]
+        return int(self._offsets[total]), int(self._offsets[total + 1])
 
     def same_shape(self, other: "FockBasis") -> bool:
         return (
@@ -90,12 +114,9 @@ class FockBasis:
             occ = self.occupations
             src = np.nonzero(occ[:, mode] > 0)[0]
             amps = np.sqrt(occ[src, mode].astype(float))
-            dst = np.empty(src.size, dtype=np.int64)
-            for i, s in enumerate(src):
-                lowered = occ[s].copy()
-                lowered[mode] -= 1
-                dst[i] = self._index[tuple(lowered)]
-            self._lowering_cache[mode] = (src, dst, amps)
+            lowered = occ[src]
+            lowered[:, mode] -= 1
+            self._lowering_cache[mode] = (src, self.rank(lowered), amps)
         return self._lowering_cache[mode]
 
     def apply_annihilation(self, amplitudes: np.ndarray, mode: int) -> np.ndarray:
@@ -108,13 +129,20 @@ class FockBasis:
         return out
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _compositions(parts: int, max_total: int) -> list[np.ndarray]:
+    """Compositions of each total n <= max_total into ``parts`` parts, in
+    descending lexicographic order: first entries f = n, n - 1, ..., 0, each
+    followed by the compositions of n - f into one part fewer."""
+    table = [np.array([[r]], dtype=np.int64) for r in range(max_total + 1)]
+    for _ in range(parts - 1):
+        table = [
+            np.concatenate([
+                np.column_stack((np.full(len(table[r - f]), f), table[r - f]))
+                for f in range(r, -1, -1)
+            ])
+            for r in range(max_total + 1)
+        ]
+    return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,13 +197,8 @@ class MomentSet:
 
 def build_fock(basis: FockBasis, occupation) -> FockState:
     """Product Fock state |n_0, ..., n_{N-1}>."""
-    occ = tuple(int(n) for n in occupation)
-    if len(occ) != basis.num_modes:
-        raise ValueError("occupation length does not match the number of modes")
-    if any(n < 0 for n in occ):
-        raise ValueError("occupations must be non-negative")
     amps = np.zeros(basis.size, dtype=complex)
-    amps[basis.index_of(occ)] = 1.0
+    amps[basis.index_of(occupation)] = 1.0
     return FockState(basis, amps, tail_mass=0.0)
 
 
@@ -210,10 +233,7 @@ def build_path_entangled(basis: FockBasis, mode_a: int, mode_b: int) -> FockStat
     if basis.max_total < 1:
         raise ValueError("basis holds no one-photon sector")
     amps = np.zeros(basis.size, dtype=complex)
-    for mode in (mode_a, mode_b):
-        occ = [0] * basis.num_modes
-        occ[mode] = 1
-        amps[basis.index_of(occ)] = 2**-0.5
+    amps[basis.rank(np.eye(basis.num_modes, dtype=np.int64)[[mode_a, mode_b]])] = 2**-0.5
     return FockState(basis, amps, tail_mass=0.0)
 
 
@@ -240,24 +260,37 @@ def build_tmsv(
 
 
 def moments_of(state: FockState) -> MomentSet:
-    """Second and fourth moments of a Fock state by exact ladder action."""
+    """Second and fourth moments of a Fock state by exact ladder action.
+
+    With lowered[j] = a_j |psi>, the second moments form the Gram matrix
+    <a_j^dag a_k> = <lowered[j]|lowered[k]>.  The fourth moments are the
+    Gram matrix of the pair vectors a_a a_b |psi>: since the annihilators
+    commute, only the N (N + 1) / 2 pairs with a <= b are built, and
+    <a_j^dag a_k^dag a_l a_m> is read from the entry of pairs (j, k) and
+    (l, m).  Both Gram matrices are made exactly Hermitian.
+    """
     basis = state.basis
     N = basis.num_modes
-    lowered = [basis.apply_annihilation(state.amplitudes, j) for j in range(N)]
-    second = np.empty((N, N), dtype=complex)
-    for j in range(N):
-        for k in range(N):
-            second[j, k] = np.vdot(lowered[j], lowered[k])
+    lowered = np.stack(
+        [basis.apply_annihilation(state.amplitudes, j) for j in range(N)]
+    )
+    a_modes, b_modes = np.triu_indices(N)
+    pairs = np.empty((a_modes.size, basis.size), dtype=complex)
+    for row, (a, b) in enumerate(zip(a_modes, b_modes)):
+        pairs[row] = basis.apply_annihilation(lowered[b], int(a))
+    # pair_index[j, k] = pair_index[k, j] = row of the pair vector a_j a_k |psi>
+    pair_index = np.empty((N, N), dtype=np.int64)
+    pair_index[a_modes, b_modes] = pair_index[b_modes, a_modes] = np.arange(a_modes.size)
+    gram = _hermitian_gram(pairs)
+    fourth = gram[pair_index[:, :, None, None], pair_index[None, None, :, :]]
+    return MomentSet(_hermitian_gram(lowered), fourth)
 
-    # pair[a, b] = a_a a_b |psi>; symmetric in (a, b) since the operators commute
-    pair = np.empty((N, N, basis.size), dtype=complex)
-    for a in range(N):
-        for b in range(a, N):
-            vec = basis.apply_annihilation(lowered[b], a)
-            pair[a, b] = vec
-            pair[b, a] = vec
-    fourth = np.einsum("jkx,lmx->jklm", pair.conj(), pair)
-    return MomentSet(second, fourth)
+
+def _hermitian_gram(vectors: np.ndarray) -> np.ndarray:
+    """G[a, b] = <vectors[a]|vectors[b]>, with G = G^dag holding bit for bit."""
+    gram = vectors.conj() @ vectors.T
+    upper = np.triu(gram, 1)
+    return upper + upper.conj().T + np.diag(gram.diagonal().real)
 
 
 def analytic_moments_tmsv(r: float, mode_a: int, mode_b: int, N: int) -> MomentSet:

@@ -38,7 +38,7 @@ from .lattice import (
 )
 from .moments import g2 as moments_g2
 from .moments import mean_photons, trace_observables
-from .runner import run_propagate
+from .runner import engine_gap, fock_trace, run_propagate
 from .spectral import eigendecompose, jacobi_matrix, transfer_matrix
 from .states import (
     FockBasis,
@@ -154,30 +154,17 @@ def check_coupler_single_photon() -> list[CheckResult]:
     z_values = np.linspace(0.0, 2.0 * math.pi, 201)
     expected = np.array([coupler_single_photon_oracle(params, z) for z in z_values])
 
-    spectrum = eigendecompose(_COUPLER)
     basis = FockBasis(2, 12)
     state = build_fock(basis, (1, 0))
-    mset = moments_of(state)
-    moment_err = 0.0
-    for z, (n1, n2, _) in zip(z_values, expected):
-        means = mean_photons(transfer_matrix(spectrum, z), mset)
-        moment_err = max(moment_err, abs(means[0] - n1), abs(means[1] - n2))
-
-    evolver = FockEvolver(_COUPLER, basis)
-    fock_err = 0.0
-    fid_err = 0.0
-    for z, (n1, n2, fid) in zip(z_values, expected):
-        evolved = evolver.evolve(state, z)
-        fock_err = max(
-            fock_err,
-            abs(expectation_n(evolved, 0) - n1),
-            abs(expectation_n(evolved, 1) - n2),
-        )
-        fid_err = max(fid_err, abs(fidelity(state, evolved) - fid))
+    moments = trace_observables(eigendecompose(_COUPLER), moments_of(state), z_values)
+    fock, fids = fock_trace(FockEvolver(_COUPLER, basis), state, z_values, targets=["initial"])
     return [
-        _result("coupler-single-photon-means-moments", moment_err, 1e-10),
-        _result("coupler-single-photon-means-fock", fock_err, 1e-10),
-        _result("coupler-single-photon-fidelity", fid_err, 1e-10),
+        _result("coupler-single-photon-means-moments",
+                np.max(np.abs(moments.means - expected[:, :2])), 1e-10),
+        _result("coupler-single-photon-means-fock",
+                np.max(np.abs(fock.means - expected[:, :2])), 1e-10),
+        _result("coupler-single-photon-fidelity",
+                np.max(np.abs(fids[:, 0] - expected[:, 2])), 1e-10),
     ]
 
 
@@ -241,13 +228,8 @@ def check_vacuum_obstruction() -> list[CheckResult]:
     basis2 = FockBasis(2, 12)
     coherent = build_coherent(basis2, [1.0, 0.0])
     evolver = FockEvolver(_COUPLER, basis2)
-    mirrored = mirror_state(coherent)
     z_values = np.linspace(0.0, 2.0 * math.pi, 101)
-    transfer_peak = 0.0
-    for z in z_values:
-        transfer_peak = max(
-            transfer_peak, fidelity(mirrored, evolver.evolve(coherent, z))
-        )
+    _, transfer = fock_trace(evolver, coherent, z_values, targets=["mirror"])
     return_fid = fidelity(coherent, evolver.evolve(coherent, math.pi))
     tol = max(1e-6, 10.0 * coherent.tail_mass)
     results.append(
@@ -256,7 +238,7 @@ def check_vacuum_obstruction() -> list[CheckResult]:
     results.append(
         _result(
             "coherent-transfer-ceiling",
-            transfer_peak,
+            np.max(transfer),
             1.0 - 1e-3,
             "largest transfer fidelity over the sweep; must stay below 1",
         )
@@ -282,15 +264,9 @@ def check_vacuum_obstruction() -> list[CheckResult]:
     )
 
     grid = np.linspace(0.0, 2.0, 101)
-    trace_gap = 0.0
-    for z in grid:
-        evolved_sq = evolver4.evolve(squeezed, z)
-        evolved_pe = evolver4.evolve(entangled, z)
-        for j in range(4):
-            trace_gap = max(
-                trace_gap,
-                abs(expectation_n(evolved_sq, j) - expectation_n(evolved_pe, j)),
-            )
+    squeezed_trace, _ = fock_trace(evolver4, squeezed, grid)
+    entangled_trace, _ = fock_trace(evolver4, entangled, grid)
+    trace_gap = np.max(np.abs(squeezed_trace.means - entangled_trace.means))
     tol = max(1e-8, 10.0 * squeezed.tail_mass)
     results.append(_result("tmsv-vs-path-entangled-means", trace_gap, tol))
     return results
@@ -323,22 +299,10 @@ def check_engine_equivalence() -> list[CheckResult]:
         N = spec.size
         pairs = [(p, q) for p in range(N) for q in range(p, N)]
         grid = np.linspace(0.0, z_stop, 101)
-        spectrum = eigendecompose(spec)
-        samples = trace_observables(spectrum, moments_of(state), grid, pairs)
-        evolver = FockEvolver(spec, basis)
-        worst = 0.0
-        for z, sample in zip(grid, samples):
-            evolved = evolver.evolve(state, float(z))
-            for j in range(N):
-                worst = max(
-                    worst, abs(sample.mean_photons[j] - expectation_n(evolved, j))
-                )
-            for pair in pairs:
-                worst = max(
-                    worst, abs(sample.g2[pair] - expectation_g2(evolved, *pair))
-                )
+        moments = trace_observables(eigendecompose(spec), moments_of(state), grid, pairs)
+        fock, _ = fock_trace(FockEvolver(spec, basis), state, grid, pairs)
         tol = max(1e-8, 10.0 * state.tail_mass)
-        results.append(_result(f"engine-equivalence-{name}", worst, tol))
+        results.append(_result(f"engine-equivalence-{name}", engine_gap(moments, fock), tol))
     return results
 
 
@@ -426,20 +390,18 @@ def check_stationary_states() -> list[CheckResult]:
     for spec in lattices:
         basis = FockBasis(spec.size, 4)
         vacuum = build_fock(basis, [0] * spec.size)
-        evolver = FockEvolver(spec, basis)
-        for z in (0.0, 0.7, 1.3, 2.9):
-            vacuum_err = max(
-                vacuum_err, abs(fidelity(vacuum, evolver.evolve(vacuum, z)) - 1.0)
-            )
+        _, fids = fock_trace(
+            FockEvolver(spec, basis), vacuum, [0.0, 0.7, 1.3, 2.9], targets=["initial"]
+        )
+        vacuum_err = max(vacuum_err, np.max(np.abs(fids - 1.0)))
 
     basis = FockBasis(2, 12)
     entangled = build_path_entangled(basis, 0, 1)
-    evolver = FockEvolver(_COUPLER, basis)
-    entangled_err = 0.0
-    for z in np.linspace(0.0, 2.0 * math.pi, 101):
-        entangled_err = max(
-            entangled_err, abs(fidelity(entangled, evolver.evolve(entangled, z)) - 1.0)
-        )
+    _, fids = fock_trace(
+        FockEvolver(_COUPLER, basis), entangled, np.linspace(0.0, 2.0 * math.pi, 101),
+        targets=["initial"],
+    )
+    entangled_err = np.max(np.abs(fids - 1.0))
     return [
         _result("vacuum-stationarity", vacuum_err, 1e-12),
         _result("path-entangled-stationarity", entangled_err, 1e-10),

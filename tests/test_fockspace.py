@@ -136,6 +136,14 @@ class TestEvolve:
         with pytest.raises(ValueError):
             FockEvolver(coupler, basis4)
 
+    def test_rejects_negative_distance(self, coupler, basis2):
+        # same domain and message as the moments engine's transfer matrices
+        state = build_fock(basis2, (1, 0))
+        with pytest.raises(ValueError, match=r"finite and >= 0"):
+            FockEvolver(coupler, basis2).evolve(state, -0.1)
+        with pytest.raises(ValueError, match=r"finite and >= 0"):
+            evolve(coupler, state, -1e-300)
+
 
 class TestFidelity:
     def test_identical_states(self, basis2):

@@ -3,8 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticelight import (
+    LatticeSpec,
     MomentSet,
     NumericalInconsistencyError,
     TruncationWarning,
@@ -24,6 +27,22 @@ from latticelight import (
 )
 
 R_HALF = float(np.arcsinh(2**-0.5))
+
+
+def random_moment_set(rng, N):
+    """Positive-semidefinite moments of unit total photon number: the second
+    moments are a Gram matrix, the fourth moments the Gram matrix of random
+    vectors assigned to the symmetric pairs (a, b), a <= b."""
+    root = rng.standard_normal((N, 3)) + 1j * rng.standard_normal((N, 3))
+    second = root.conj() @ root.T
+    second /= np.trace(second).real
+    first, other = np.triu_indices(N)
+    vectors = rng.standard_normal((first.size, 4)) + 1j * rng.standard_normal((first.size, 4))
+    gram = vectors.conj() @ vectors.T / first.size
+    index = np.empty((N, N), dtype=int)
+    index[first, other] = index[other, first] = np.arange(first.size)
+    fourth = gram[index[:, :, None, None], index[None, None, :, :]]
+    return MomentSet(second, fourth)
 
 
 @pytest.fixture(scope="module")
@@ -175,27 +194,27 @@ class TestG2:
 class TestTraceObservables:
     def test_empty_pairs_gives_means_only(self, coupler_spectrum, basis2):
         moments = moments_of(build_fock(basis2, (1, 0)))
-        samples = trace_observables(coupler_spectrum, moments, [0.0, 0.5], [])
-        assert len(samples) == 2
-        assert samples[0].g2 == {}
-        assert samples[0].mean_photons.shape == (2,)
+        trace = trace_observables(coupler_spectrum, moments, [0.0, 0.5], [])
+        assert trace.z.shape == (2,)
+        assert trace.g2.shape == (2, 0) and trace.pairs == ()
+        assert trace.means.shape == (2, 2)
 
     def test_matches_oracle_pointwise(self, coupler_spectrum, basis2):
         moments = moments_of(build_fock(basis2, (1, 0)))
         grid = np.linspace(0.0, math.pi, 101)
-        samples = trace_observables(coupler_spectrum, moments, grid, [(0, 1)])
+        trace = trace_observables(coupler_spectrum, moments, grid, [(0, 1)])
         params = coupler_params(0.0, 1.0)
-        for sample in samples:
-            n1, n2, _ = coupler_single_photon_oracle(params, sample.z)
-            assert sample.mean_photons[0] == pytest.approx(n1, abs=1e-10)
-            assert sample.mean_photons[1] == pytest.approx(n2, abs=1e-10)
+        for z, means in zip(trace.z, trace.means):
+            n1, n2, _ = coupler_single_photon_oracle(params, z)
+            assert means[0] == pytest.approx(n1, abs=1e-10)
+            assert means[1] == pytest.approx(n2, abs=1e-10)
 
     def test_transfer_chain_moves_photon_across(self, basis4):
         spec = make_perfect_transfer(4, 1.0)
         spectrum = eigendecompose(spec)
         moments = moments_of(build_fock(basis4, (1, 0, 0, 0)))
-        (sample,) = trace_observables(spectrum, moments, [1.0], [])
-        assert np.allclose(sample.mean_photons, [0.0, 0.0, 0.0, 1.0], atol=1e-8)
+        (means,) = trace_observables(spectrum, moments, [1.0], []).means
+        assert np.allclose(means, [0.0, 0.0, 0.0, 1.0], atol=1e-8)
 
     def test_photon_number_is_conserved(self, basis2):
         spec = make_perfect_transfer(4, 1.0)
@@ -205,12 +224,12 @@ class TestTraceObservables:
         basis = FockBasis(4, 12)
         state = quiet_tmsv(basis)
         moments = moments_of(state)
-        samples = trace_observables(
+        trace = trace_observables(
             spectrum, moments, np.linspace(0.0, 2.0, 51), []
         )
         total = moments.total_photons()
-        for sample in samples:
-            assert abs(float(np.sum(sample.mean_photons)) - total) < 1e-10
+        for means in trace.means:
+            assert abs(float(np.sum(means)) - total) < 1e-10
 
     def test_rejects_unsorted_grid(self, coupler_spectrum, basis2):
         moments = moments_of(build_fock(basis2, (1, 0)))
@@ -222,15 +241,51 @@ class TestTraceObservables:
         with pytest.raises(ValueError):
             trace_observables(coupler_spectrum, moments, [0.0, math.nan], [])
 
+    def test_rejects_negative_distance(self, coupler_spectrum, basis2):
+        # same domain and message as the Fock engine's evolve
+        moments = moments_of(build_fock(basis2, (1, 0)))
+        with pytest.raises(ValueError, match=r"finite and >= 0"):
+            trace_observables(coupler_spectrum, moments, [-0.1, 0.5], [])
+        with pytest.raises(ValueError, match=r"finite and >= 0"):
+            transfer_matrix(coupler_spectrum, -0.1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), N=st.integers(2, 8), steps=st.integers(1, 12))
+    def test_batched_sweep_matches_single_distance_functions(self, seed, N, steps):
+        rng = np.random.default_rng(seed)
+        spec = LatticeSpec(rng.uniform(-2.0, 2.0, N), rng.uniform(0.1, 2.0, N - 1))
+        spectrum = eigendecompose(spec)
+        moments = random_moment_set(rng, N)
+        z_grid = np.sort(rng.uniform(0.0, 10.0, steps))
+        every = [(p, q) for p in range(N) for q in range(N)]
+        pairs = [every[i] for i in rng.choice(len(every), size=min(6, len(every)), replace=False)]
+        trace = trace_observables(spectrum, moments, z_grid, pairs)
+        assert trace.pairs == tuple(pairs)
+        assert np.array_equal(trace.z, z_grid)
+        for i, z in enumerate(z_grid):
+            U = transfer_matrix(spectrum, z)
+            assert np.max(np.abs(trace.means[i] - mean_photons(U, moments))) < 1e-12
+            for k, (p, q) in enumerate(pairs):
+                assert abs(trace.g2[i, k] - g2(U, moments, p, q)) < 1e-12
+
+    def test_batched_sweep_rejects_inconsistent_moments(self, coupler_spectrum):
+        # a non-Hermitian second-moment matrix leaves a large imaginary part
+        broken = MomentSet(
+            np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
+            np.zeros((2, 2, 2, 2), complex),
+        )
+        with pytest.raises(NumericalInconsistencyError):
+            trace_observables(coupler_spectrum, broken, [0.0, 0.7], [(0, 1)])
+
 
 class TestEngineAgreement:
     def test_path_entangled_is_static_in_means(self, coupler_spectrum, basis2):
         moments = moments_of(build_path_entangled(basis2, 0, 1))
-        samples = trace_observables(
+        trace = trace_observables(
             coupler_spectrum, moments, np.linspace(0.0, math.pi, 21), []
         )
-        for sample in samples:
-            assert np.allclose(sample.mean_photons, [0.5, 0.5], atol=1e-12)
+        for means in trace.means:
+            assert np.allclose(means, [0.5, 0.5], atol=1e-12)
 
     def test_tmsv_means_match_path_entangled(self, coupler_spectrum, basis2):
         entangled = moments_of(build_path_entangled(basis2, 0, 1))

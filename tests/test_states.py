@@ -56,6 +56,36 @@ class TestFockBasis:
         with pytest.raises(ValueError):
             basis.index_of((4, 0))
 
+    @pytest.mark.parametrize(
+        "N,n_max", [(N, n) for N in range(1, 7) for n in range(7)] + [(8, 12)]
+    )
+    def test_rank_enumerates_the_basis(self, N, n_max):
+        basis = FockBasis(N, n_max)
+        assert np.array_equal(basis.rank(basis.occupations), np.arange(basis.size))
+
+    @pytest.mark.parametrize("N,n_max", [(1, 4), (2, 5), (3, 4), (4, 3), (5, 2)])
+    def test_annihilation_matches_dict_reference(self, N, n_max):
+        basis = FockBasis(N, n_max)
+        states = [tuple(occ) for occ in basis.occupations.tolist()]
+        index = {occ: i for i, occ in enumerate(states)}
+        rng = np.random.default_rng(N * 10 + n_max)
+        amps = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
+        for mode in range(N):
+            expected = np.zeros(basis.size, dtype=complex)
+            for i, occ in enumerate(states):
+                if occ[mode] > 0:
+                    lowered = occ[:mode] + (occ[mode] - 1,) + occ[mode + 1:]
+                    expected[index[lowered]] = math.sqrt(occ[mode]) * amps[i]
+            assert np.array_equal(basis.apply_annihilation(amps, mode), expected)
+
+    @pytest.mark.parametrize(
+        "occupation", [(1, 0), (1, 0, 0, 0), (2, -1, 0), (0, 0, 5), (3, 1, 1)]
+    )
+    def test_index_of_rejects_occupations_outside_the_basis(self, occupation):
+        basis = FockBasis(3, 4)
+        with pytest.raises(ValueError):
+            basis.index_of(occupation)
+
 
 class TestBuildFock:
     def test_single_photon(self, basis2):
@@ -203,6 +233,24 @@ class TestMomentsOf:
         with pytest.warns(TruncationWarning):
             state = build_tmsv(basis2, 0, 1, R_HALF)
         fourth = moments_of(state).fourth
+        assert np.array_equal(fourth, fourth.transpose(1, 0, 2, 3))
+        assert np.array_equal(fourth, fourth.transpose(0, 1, 3, 2))
+        assert np.array_equal(fourth, fourth.transpose(2, 3, 0, 1).conj())
+
+    def test_full_size_coherent_matches_product_form(self):
+        # 8 guides, n_max 12: total mean 0.1 leaves a Poisson tail below 1e-20
+        basis = FockBasis(8, 12)
+        rng = np.random.default_rng(8)
+        alphas = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        alphas *= math.sqrt(0.1) / np.linalg.norm(alphas)
+        tail = math.fsum(math.exp(-0.1) * 0.1**n / math.factorial(n) for n in range(13, 40))
+        assert tail < 1e-20
+        moments = moments_of(build_coherent(basis, alphas))
+        second, fourth = moments.second, moments.fourth
+        assert np.max(np.abs(second - np.outer(alphas.conj(), alphas))) < 1e-12
+        pair = np.outer(alphas, alphas)
+        expected = np.einsum("jk,lm->jklm", pair.conj(), pair)
+        assert np.max(np.abs(fourth - expected)) < 1e-12
         assert np.array_equal(fourth, fourth.transpose(1, 0, 2, 3))
         assert np.array_equal(fourth, fourth.transpose(0, 1, 3, 2))
         assert np.array_equal(fourth, fourth.transpose(2, 3, 0, 1).conj())
