@@ -14,7 +14,6 @@ from .fockspace import (
     FockEvolver,
     SectorHamiltonian,
     build_sector_hamiltonian,
-    evolve,
     expectation_g2,
     expectation_n,
     fidelity,
@@ -38,6 +37,7 @@ from .moments import (
     mean_photons,
     trace_observables,
 )
+from .runner import propagate
 from .spectral import (
     ConvergenceError,
     Spectrum,
@@ -94,11 +94,11 @@ __all__ = [
     "g2",
     "mean_photons",
     "trace_observables",
+    "propagate",
     "SECTOR_DIM_CAP",
     "FockEvolver",
     "SectorHamiltonian",
     "build_sector_hamiltonian",
-    "evolve",
     "expectation_g2",
     "expectation_n",
     "fidelity",

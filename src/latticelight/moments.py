@@ -20,6 +20,7 @@ from .states import MomentSet
 __all__ = [
     "NumericalInconsistencyError",
     "Trace",
+    "check_sweep",
     "mean_photons",
     "g2",
     "trace_observables",
@@ -36,14 +37,38 @@ class NumericalInconsistencyError(RuntimeError):
 class Trace:
     """Observables along a propagation-distance grid.
 
-    ``means[i, j]`` is the mean photon number of waveguide j at ``z[i]`` and
-    ``g2[i, k]`` the correlation <n_p n_q> there, for (p, q) = ``pairs[k]``.
+    ``means[i, j]`` is the mean photon number of waveguide j at ``z[i]``,
+    ``g2[i, k]`` the correlation <n_p n_q> there, for (p, q) = ``pairs[k]``,
+    and ``fid[i, t]`` the fidelity against the target named ``targets[t]``
+    (the moments engine yields none).
     """
 
     z: np.ndarray
     means: np.ndarray
     g2: np.ndarray
     pairs: tuple[tuple[int, int], ...]
+    fid: np.ndarray
+    targets: tuple[str, ...]
+
+
+def check_sweep(z_grid, pairs, num_modes: int):
+    """The validated grid and pairs of a sweep, as both engines accept them.
+
+    The grid must be one-dimensional, finite, non-negative and sorted
+    ascending, and every pair must hold two mode indices in [0, num_modes).
+    Returns the grid as a float array and the pairs as a tuple of int pairs.
+    """
+    z_values = np.asarray(z_grid, dtype=float)
+    if z_values.ndim != 1:
+        raise ValueError("z_grid must be one-dimensional")
+    if not np.all(np.isfinite(z_values) & (z_values >= 0)):
+        raise ValueError("propagation distance z must be finite and >= 0")
+    if np.any(np.diff(z_values) < 0):
+        raise ValueError("z_grid must be sorted ascending")
+    pair_list = tuple((int(p), int(q)) for p, q in pairs)
+    if not all(0 <= j < num_modes for pair in pair_list for j in pair):
+        raise ValueError(f"pair indices out of range for {num_modes} modes")
+    return z_values, pair_list
 
 
 def mean_photons(U: TransferMatrix, m: MomentSet) -> np.ndarray:
@@ -100,26 +125,17 @@ def trace_observables(
     The transfer matrices of the whole grid form one [Z, N, N] stack, which
     is contracted with the second moments for the means and, through the
     products U[a, l] U[b, m] of the two rows of each pair, with the fourth
-    moments read as an N^2 x N^2 matrix for the correlations.  The grid
-    must be finite, non-negative and sorted ascending; ``pairs`` selects the
-    (p, q) correlations (none yields means only).  The result is checked for
+    moments read as an N^2 x N^2 matrix for the correlations.  The grid and
+    ``pairs`` pass ``check_sweep``; ``pairs`` selects the (p, q)
+    correlations (none yields means only).  The result is checked for
     imaginary parts, negative means and photon-number drift with the
     tolerances of ``mean_photons`` and ``g2``.
     """
-    z_values = np.asarray(z_grid, dtype=float)
-    if z_values.ndim != 1:
-        raise ValueError("z_grid must be one-dimensional")
-    if not np.all(np.isfinite(z_values) & (z_values >= 0)):
-        raise ValueError("propagation distance z must be finite and >= 0")
-    if np.any(np.diff(z_values) < 0):
-        raise ValueError("z_grid must be sorted ascending")
     N = spectrum.size
     if N != m.num_modes:
         raise ValueError("transfer matrix and moments have different mode counts")
-    pair_list = tuple((int(p), int(q)) for p, q in pairs)
+    z_values, pair_list = check_sweep(z_grid, pairs, N)
     a, b = np.sort(np.array(pair_list, dtype=np.int64).reshape(-1, 2), axis=1).T
-    if a.size and (a.min() < 0 or b.max() >= N):
-        raise ValueError(f"pair indices out of range for {N} modes")
 
     V = spectrum.eigenvectors
     phases = np.exp(-1j * np.multiply.outer(z_values, spectrum.eigenvalues))
@@ -142,7 +158,8 @@ def trace_observables(
     # for p == q the commutator adds <n_p> on top of the normally-ordered part
     corr += np.where(a == b, means[:, a], 0.0)
     _check_real(corr, "pair correlations acquired imaginary part {:.3e}")
-    return Trace(z_values, means.real.copy(), corr.real.copy(), pair_list)
+    return Trace(z_values, means.real.copy(), corr.real.copy(), pair_list,
+                 np.empty((z_values.size, 0)), ())
 
 
 def _check_real(values: np.ndarray, message: str) -> None:

@@ -1,5 +1,5 @@
-"""Config-driven runs: parse a JSON run configuration, execute the requested
-engines and render deterministic CSV.
+"""Config-driven runs: parse a JSON run configuration, propagate it through
+the requested engines and render deterministic CSV.
 
 Numbers are printed with 12 significant digits (round-half-even), so running
 the same configuration twice produces byte-identical output.  Every CSV
@@ -9,11 +9,12 @@ starts with a comment line pinning the 0-based waveguide indexing.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fockspace import FockEvolver, expectation_g2, expectation_n, fidelity, mirror_state
+from .fockspace import FIDELITY_TARGETS, FockEvolver
 from .lattice import (
     LatticeSpec,
     make_binary,
@@ -35,14 +36,13 @@ from .states import (
 )
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config",
-           "parse_lattice", "run_spectrum", "run_propagate", "fock_trace",
-           "engine_gap"]
+           "parse_lattice", "run_spectrum", "run_propagate", "propagate",
+           "engine_gate"]
 
 INDEXING_NOTE = "# waveguide indices are 0-based: index 0 is the first waveguide"
 
 DEFAULT_N_MAX = 12
 ENGINES = ("moments", "fock", "both")
-FIDELITY_TARGETS = ("initial", "mirror")
 
 _FAMILY_PARAMS = {
     "uniform": ("N", "omega", "g"),
@@ -70,10 +70,8 @@ class RunConfig:
     """Fully validated run configuration with all objects built."""
 
     spec: LatticeSpec
-    basis: FockBasis
     state: FockState
     z_values: np.ndarray
-    n_max: int
     pairs: list[tuple[int, int]] = field(default_factory=list)
     fidelity_targets: list[str] = field(default_factory=list)
     engine: str = "both"
@@ -187,9 +185,8 @@ def parse_config(raw: dict) -> RunConfig:
             "use engine 'fock' or 'both'"
         )
 
-    basis = FockBasis(N, n_max)
-    state = _build_state(raw.get("state"), basis)
-    return RunConfig(spec, basis, state, z_values, n_max, pairs, targets, engine)
+    state = _build_state(raw.get("state"), FockBasis(N, n_max))
+    return RunConfig(spec, state, z_values, pairs, targets, engine)
 
 
 def run_spectrum(raw: dict) -> str:
@@ -209,65 +206,55 @@ def run_propagate(raw: dict) -> str:
     """CSV propagation trace for a validated configuration.
 
     Columns: z, the N mean photon numbers, one fidelity column per requested
-    target, one correlation column per requested pair.  With engine 'both'
-    the printed numbers come from the Fock engine and the moments engine is
-    used as a cross-check at tolerance max(1e-8, 10 * tail_mass).
+    target, one correlation column per requested pair.
     """
     cfg = parse_config(raw)
-    traces = {}
-    fidelities = np.empty((cfg.z_values.size, 0))
-    if cfg.engine in ("moments", "both"):
-        traces["moments"] = trace_observables(
-            eigendecompose(cfg.spec), moments_of(cfg.state), cfg.z_values, cfg.pairs
-        )
-    if cfg.engine in ("fock", "both"):
-        traces["fock"], fidelities = fock_trace(
-            FockEvolver(cfg.spec, cfg.basis), cfg.state, cfg.z_values, cfg.pairs,
-            cfg.fidelity_targets,
-        )
-    if len(traces) == 2:
-        tolerance = max(1e-8, 10.0 * cfg.state.tail_mass)
-        worst = engine_gap(traces["moments"], traces["fock"])
-        if worst > tolerance:
-            raise NumericalInconsistencyError(
-                f"engines disagree by {worst:.3e} (tolerance {tolerance:.3e})"
-            )
-    shown = traces.get("fock") or traces["moments"]
-
+    trace = propagate(cfg.spec, cfg.state, cfg.z_values, cfg.pairs,
+                      cfg.fidelity_targets, cfg.engine)
     header = ["z"] + [f"n_{j}" for j in range(cfg.spec.size)]
-    header += [f"F_{name}" for name in cfg.fidelity_targets]
-    header += [f"g2_{p}_{q}" for p, q in cfg.pairs]
+    header += [f"F_{name}" for name in trace.targets]
+    header += [f"g2_{p}_{q}" for p, q in trace.pairs]
     lines = [INDEXING_NOTE, ",".join(header)]
-    for row in zip(shown.z, shown.means, fidelities, shown.g2):
-        lines.append(",".join(_fmt(v) for v in np.hstack(row)))
+    for row in np.hstack((trace.z[:, None], trace.means, trace.fid, trace.g2)):
+        lines.append(",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
-def fock_trace(evolver: FockEvolver, state: FockState, z_values, pairs=(), targets=()):
-    """Fock-engine observables along a z grid.
+def propagate(spec: LatticeSpec, state: FockState, z, pairs=(), targets=(),
+              engine: str = "both") -> Trace:
+    """Observables of ``state`` along the grid ``z`` through one or both engines.
 
-    Returns a Trace of the mean photon numbers and pair correlations, and
-    the fidelities [Z, T] against the named ``targets`` ('initial' or
-    'mirror').
+    ``pairs`` selects the correlations <n_p n_q> and ``targets`` the
+    fidelities ('initial' or 'mirror'), which only the Fock engine computes.
+    With engine 'both' the Fock trace is returned once the moments engine
+    has confirmed it within the tolerance of ``engine_gate``.
     """
-    target_states = [state if name == "initial" else mirror_state(state) for name in targets]
-    z_values = np.asarray(z_values, dtype=float)
-    N = state.basis.num_modes
-    means = np.empty((z_values.size, N))
-    fids = np.empty((z_values.size, len(target_states)))
-    g2 = np.empty((z_values.size, len(pairs)))
-    for i, z in enumerate(z_values):
-        evolved = evolver.evolve(state, float(z))
-        means[i] = [expectation_n(evolved, j) for j in range(N)]
-        fids[i] = [fidelity(target, evolved) for target in target_states]
-        g2[i] = [expectation_g2(evolved, p, q) for p, q in pairs]
-    return Trace(z_values, means, g2, tuple((int(p), int(q)) for p, q in pairs)), fids
+    if engine not in ENGINES:
+        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
+    if targets and engine == "moments":
+        raise ValueError("fidelities need the Fock engine; use engine 'fock' or 'both'")
+    if engine != "fock":
+        moments = trace_observables(eigendecompose(spec), moments_of(state), z, pairs)
+        if engine == "moments":
+            return moments
+    fock = FockEvolver(spec, state.basis).sweep(state, z, pairs, targets)
+    if engine == "both":
+        worst, tolerance = engine_gate(moments, fock, state)
+        if not worst <= tolerance:
+            raise NumericalInconsistencyError(
+                f"engines disagree by {worst:.3e} (tolerance {tolerance:.3e})"
+            )
+    return fock
 
 
-def engine_gap(first: Trace, second: Trace) -> float:
-    """Largest absolute difference between two traces of the same grid and pairs."""
+def engine_gate(first: Trace, second: Trace, state: FockState) -> tuple[float, float]:
+    """Largest gap between two traces of ``state`` and the tolerance it must meet.
+
+    Both engines consume the same truncated state, so the tolerance is
+    max(1e-8, 10 * tail_mass).  A non-finite gap fails any comparison.
+    """
     gaps = np.abs(np.hstack((first.means - second.means, first.g2 - second.g2)))
-    return float(np.max(gaps, initial=0.0))
+    return float(np.max(gaps, initial=0.0)), max(1e-8, 10.0 * state.tail_mass)
 
 
 def _build_state(section, basis: FockBasis) -> FockState:
@@ -330,23 +317,25 @@ def _mode_pair(section, basis) -> tuple[int, int]:
     return modes[0], modes[1]
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A finite real number; JSON admits NaN, Infinity and unbounded integers."""
+    if not _is_number(value):
         raise ConfigError(f"{where}: must be a number")
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where}: must be finite")
     return float(value)
 
 
 def _complex_number(value, where: str) -> complex:
-    """A real number, or a [re, im] pair."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
-    ):
-        return complex(value[0], value[1])
-    raise ConfigError(f"{where}: must be a number or a [re, im] pair")
+    """A finite real number, or a [re, im] pair of them."""
+    parts = value if isinstance(value, list) and len(value) == 2 else [value]
+    if not all(_is_number(x) for x in parts):
+        raise ConfigError(f"{where}: must be a number or a [re, im] pair")
+    return complex(*(_number(x, where) for x in parts))
 
 
 def _number_list(value, where: str) -> list[float]:

@@ -216,6 +216,8 @@ def build_coherent(basis: FockBasis, alphas, tail_bound: float = 1e-8) -> FockSt
     alphas = np.asarray(alphas, dtype=complex)
     if alphas.shape != (basis.num_modes,):
         raise ValueError("need one coherent amplitude per mode")
+    if not np.all(np.isfinite(alphas)):
+        raise ValueError("coherent amplitudes must be finite")
     # coef[j, n] = exp(-|alpha_j|^2 / 2) alpha_j^n / sqrt(n!)
     n_values = np.arange(basis.max_total + 1)
     log_fact = np.cumsum(np.log(np.maximum(n_values, 1)))
@@ -240,15 +242,15 @@ def build_path_entangled(basis: FockBasis, mode_a: int, mode_b: int) -> FockStat
 def build_tmsv(
     basis: FockBasis, mode_a: int, mode_b: int, r: float, tail_bound: float = 1e-8
 ) -> FockState:
-    """Two-mode squeezed vacuum with squeezing parameter r >= 0.
+    """Two-mode squeezed vacuum with finite squeezing parameter r >= 0.
 
     Amplitudes tanh(r)**j / cosh(r) on the pair occupations |j, j>, kept for
     2 j <= max_total, then renormalized; the discarded geometric tail is
     recorded as ``tail_mass``.
     """
     _check_mode_pair(basis, mode_a, mode_b)
-    if r < 0:
-        raise ValueError("squeezing parameter r must be non-negative")
+    if not (math.isfinite(r) and r >= 0):
+        raise ValueError("squeezing parameter r must be finite and non-negative")
     amps = np.zeros(basis.size, dtype=complex)
     tanh_r = math.tanh(r)
     for j in range(basis.max_total // 2 + 1):
@@ -326,7 +328,7 @@ def analytic_moments_tmsv(r: float, mode_a: int, mode_b: int, N: int) -> MomentS
 
 def _truncate_and_normalize(basis, amps, tail_bound) -> FockState:
     kept = float(np.sum(np.abs(amps) ** 2))
-    if kept <= 0:
+    if not kept > 0:
         raise ValueError("state has no support inside the truncated basis")
     tail = max(0.0, 1.0 - kept)
     if tail > tail_bound:

@@ -19,13 +19,6 @@ from importlib import resources
 
 import numpy as np
 
-from .fockspace import (
-    FockEvolver,
-    expectation_g2,
-    expectation_n,
-    fidelity,
-    mirror_state,
-)
 from .lattice import (
     LatticeSpec,
     coupler_single_photon_oracle,
@@ -36,9 +29,8 @@ from .lattice import (
     make_perfect_transfer,
     make_uniform,
 )
-from .moments import g2 as moments_g2
-from .moments import mean_photons, trace_observables
-from .runner import engine_gap, fock_trace, run_propagate
+from .moments import mean_photons
+from .runner import engine_gate, propagate, run_propagate
 from .spectral import eigendecompose, jacobi_matrix, transfer_matrix
 from .states import (
     FockBasis,
@@ -47,7 +39,6 @@ from .states import (
     build_fock,
     build_path_entangled,
     build_tmsv,
-    moments_of,
 )
 
 __all__ = ["CheckResult", "hermite_zeros", "run_acceptance", "format_report",
@@ -154,17 +145,16 @@ def check_coupler_single_photon() -> list[CheckResult]:
     z_values = np.linspace(0.0, 2.0 * math.pi, 201)
     expected = np.array([coupler_single_photon_oracle(params, z) for z in z_values])
 
-    basis = FockBasis(2, 12)
-    state = build_fock(basis, (1, 0))
-    moments = trace_observables(eigendecompose(_COUPLER), moments_of(state), z_values)
-    fock, fids = fock_trace(FockEvolver(_COUPLER, basis), state, z_values, targets=["initial"])
+    state = build_fock(FockBasis(2, 12), (1, 0))
+    moments = propagate(_COUPLER, state, z_values, engine="moments")
+    fock = propagate(_COUPLER, state, z_values, targets=["initial"], engine="fock")
     return [
         _result("coupler-single-photon-means-moments",
                 np.max(np.abs(moments.means - expected[:, :2])), 1e-10),
         _result("coupler-single-photon-means-fock",
                 np.max(np.abs(fock.means - expected[:, :2])), 1e-10),
         _result("coupler-single-photon-fidelity",
-                np.max(np.abs(fids[:, 0] - expected[:, 2])), 1e-10),
+                np.max(np.abs(fock.fid[:, 0] - expected[:, 2])), 1e-10),
     ]
 
 
@@ -202,16 +192,13 @@ def check_perfect_transfer(fault: str | None = None) -> list[CheckResult]:
     spec = _transfer_lattice(fault)
     z_t = 1.0
     basis = FockBasis(4, 12)
-    evolver = FockEvolver(spec, basis)
-
-    single = build_fock(basis, (1, 0, 0, 0))
-    evolved = evolver.evolve(single, z_t)
-    occupation_err = abs(expectation_n(evolved, 3) - 1.0)
-    single_fid_err = abs(fidelity(mirror_state(single), evolved) - 1.0)
-
-    entangled = build_path_entangled(basis, 0, 1)
-    evolved = evolver.evolve(entangled, z_t)
-    entangled_fid_err = abs(fidelity(mirror_state(entangled), evolved) - 1.0)
+    single = propagate(spec, build_fock(basis, (1, 0, 0, 0)), [z_t],
+                       targets=["mirror"], engine="fock")
+    entangled = propagate(spec, build_path_entangled(basis, 0, 1), [z_t],
+                          targets=["mirror"], engine="fock")
+    occupation_err = abs(single.means[0, 3] - 1.0)
+    single_fid_err = abs(single.fid[0, 0] - 1.0)
+    entangled_fid_err = abs(entangled.fid[0, 0] - 1.0)
     return [
         _result("transfer-single-photon-occupation", occupation_err, 1e-8),
         _result("transfer-single-photon-fidelity", single_fid_err, 1e-8),
@@ -225,12 +212,12 @@ def check_vacuum_obstruction() -> list[CheckResult]:
 
     # balanced coupler, coherent amplitude 1: the return fidelity at z = pi
     # is exp(-2) and the transfer fidelity stays far from 1 at every z.
-    basis2 = FockBasis(2, 12)
-    coherent = build_coherent(basis2, [1.0, 0.0])
-    evolver = FockEvolver(_COUPLER, basis2)
+    coherent = build_coherent(FockBasis(2, 12), [1.0, 0.0])
     z_values = np.linspace(0.0, 2.0 * math.pi, 101)
-    _, transfer = fock_trace(evolver, coherent, z_values, targets=["mirror"])
-    return_fid = fidelity(coherent, evolver.evolve(coherent, math.pi))
+    transfer = propagate(_COUPLER, coherent, z_values, targets=["mirror"], engine="fock").fid
+    return_fid = propagate(
+        _COUPLER, coherent, [math.pi], targets=["initial"], engine="fock"
+    ).fid[0, 0]
     tol = max(1e-6, 10.0 * coherent.tail_mass)
     results.append(
         _result("coherent-return-fidelity", abs(return_fid - math.exp(-2.0)), tol)
@@ -250,23 +237,19 @@ def check_vacuum_obstruction() -> list[CheckResult]:
     basis4 = FockBasis(4, 12)
     squeezed = build_tmsv(basis4, 0, 1, R_HALF_PHOTON)
     entangled = build_path_entangled(basis4, 0, 1)
-    evolver4 = FockEvolver(spec, basis4)
-    squeezed_mirror_fid = fidelity(
-        mirror_state(squeezed), evolver4.evolve(squeezed, 1.0)
-    )
+    grid = np.linspace(0.0, 2.0, 101)  # grid[50] is z_t = 1
+    squeezed_trace = propagate(spec, squeezed, grid, targets=["mirror"], engine="fock")
     results.append(
         _result(
             "tmsv-transfer-ceiling",
-            squeezed_mirror_fid,
+            squeezed_trace.fid[50, 0],
             1.0 - 1e-3,
             "mirror fidelity at z_t; must stay below 1",
         )
     )
 
-    grid = np.linspace(0.0, 2.0, 101)
-    squeezed_trace, _ = fock_trace(evolver4, squeezed, grid)
-    entangled_trace, _ = fock_trace(evolver4, entangled, grid)
-    trace_gap = np.max(np.abs(squeezed_trace.means - entangled_trace.means))
+    entangled_means = propagate(spec, entangled, grid, engine="fock").means
+    trace_gap = np.max(np.abs(squeezed_trace.means - entangled_means))
     tol = max(1e-8, 10.0 * squeezed.tail_mass)
     results.append(_result("tmsv-vs-path-entangled-means", trace_gap, tol))
     return results
@@ -288,21 +271,20 @@ def _figure_scenarios():
             "tmsv": build_tmsv(basis, 0, 1, R_HALF_PHOTON),
         }
         for kind, state in states.items():
-            scenarios.append((f"{label}-{kind}", spec, basis, state, z_stop))
+            scenarios.append((f"{label}-{kind}", spec, state, z_stop))
     return scenarios
 
 
 def check_engine_equivalence() -> list[CheckResult]:
     """Moments engine and Fock engine agree on every scenario observable."""
     results = []
-    for name, spec, basis, state, z_stop in _figure_scenarios():
+    for name, spec, state, z_stop in _figure_scenarios():
         N = spec.size
         pairs = [(p, q) for p in range(N) for q in range(p, N)]
         grid = np.linspace(0.0, z_stop, 101)
-        moments = trace_observables(eigendecompose(spec), moments_of(state), grid, pairs)
-        fock, _ = fock_trace(FockEvolver(spec, basis), state, grid, pairs)
-        tol = max(1e-8, 10.0 * state.tail_mass)
-        results.append(_result(f"engine-equivalence-{name}", engine_gap(moments, fock), tol))
+        moments, fock = (propagate(spec, state, grid, pairs, engine=engine)
+                         for engine in ("moments", "fock"))
+        results.append(_result(f"engine-equivalence-{name}", *engine_gate(moments, fock, state)))
     return results
 
 
@@ -364,14 +346,11 @@ def check_tmsv_zero_distance() -> CheckResult:
     x = math.tanh(R_HALF_PHOTON) ** 2
     oracle = math.fsum(j * j * (1.0 - x) * x**j for j in range(400))
 
-    basis = FockBasis(2, 48)
-    state = build_tmsv(basis, 0, 1, R_HALF_PHOTON)
-    fock_value = expectation_g2(state, 0, 1)
-    spectrum = eigendecompose(_COUPLER)
-    moments_value = moments_g2(
-        transfer_matrix(spectrum, 0.0), moments_of(state), 0, 1
+    state = build_tmsv(FockBasis(2, 48), 0, 1, R_HALF_PHOTON)
+    error = max(
+        abs(propagate(_COUPLER, state, [0.0], [(0, 1)], engine=engine).g2[0, 0] - oracle)
+        for engine in ("moments", "fock")
     )
-    error = max(abs(fock_value - oracle), abs(moments_value - oracle))
     tol = max(1e-8, 10.0 * state.tail_mass)
     return _result("tmsv-zero-distance-correlation", error, tol)
 
@@ -390,17 +369,16 @@ def check_stationary_states() -> list[CheckResult]:
     for spec in lattices:
         basis = FockBasis(spec.size, 4)
         vacuum = build_fock(basis, [0] * spec.size)
-        _, fids = fock_trace(
-            FockEvolver(spec, basis), vacuum, [0.0, 0.7, 1.3, 2.9], targets=["initial"]
-        )
+        fids = propagate(
+            spec, vacuum, [0.0, 0.7, 1.3, 2.9], targets=["initial"], engine="fock"
+        ).fid
         vacuum_err = max(vacuum_err, np.max(np.abs(fids - 1.0)))
 
-    basis = FockBasis(2, 12)
-    entangled = build_path_entangled(basis, 0, 1)
-    _, fids = fock_trace(
-        FockEvolver(_COUPLER, basis), entangled, np.linspace(0.0, 2.0 * math.pi, 101),
-        targets=["initial"],
-    )
+    entangled = build_path_entangled(FockBasis(2, 12), 0, 1)
+    fids = propagate(
+        _COUPLER, entangled, np.linspace(0.0, 2.0 * math.pi, 101),
+        targets=["initial"], engine="fock",
+    ).fid
     entangled_err = np.max(np.abs(fids - 1.0))
     return [
         _result("vacuum-stationarity", vacuum_err, 1e-12),

@@ -158,6 +158,43 @@ class TestSpectrumCommand:
         assert "config error" in capsys.readouterr().err
 
 
+class TestNonFiniteConfigNumbers:
+    """JSON admits NaN, Infinity and unbounded integers; each is refused with
+    exit code 2 and a message naming the field, before any engine runs."""
+
+    def run(self, capsys, tmp_path, payload):
+        # json.dumps writes the bare NaN / Infinity tokens json.load accepts
+        out_path = tmp_path / "trace.csv"
+        argv = ["propagate", "--config", write_config(tmp_path, payload), "--out", str(out_path)]
+        code = main(argv)
+        assert not out_path.exists()
+        return code, capsys.readouterr().err
+
+    def test_squeezing_nan(self, capsys, tmp_path):
+        cfg = small_coupler_config()
+        cfg["state"] = {"kind": "tmsv", "mode_a": 0, "mode_b": 1, "r": math.nan}
+        code, err = self.run(capsys, tmp_path, cfg)
+        assert code == 2 and "state.r: must be finite" in err
+
+    def test_coherent_amplitude_nan(self, capsys, tmp_path):
+        cfg = small_coupler_config()
+        cfg["state"] = {"kind": "coherent", "alphas": [math.nan, 0.0]}
+        code, err = self.run(capsys, tmp_path, cfg)
+        assert code == 2 and "state.alphas[0]: must be finite" in err
+
+    def test_grid_stop_infinity(self, capsys, tmp_path):
+        cfg = small_coupler_config()
+        cfg["z_grid"]["stop"] = math.inf
+        code, err = self.run(capsys, tmp_path, cfg)
+        assert code == 2 and "z_grid.stop: must be finite" in err
+
+    def test_integer_beyond_float_range(self, capsys, tmp_path):
+        cfg = small_coupler_config()
+        cfg["lattice"]["explicit"]["couplings"] = [10**400]
+        code, err = self.run(capsys, tmp_path, cfg)
+        assert code == 2 and "lattice.explicit.couplings[0]: must be finite" in err
+
+
 class TestPropagateCommand:
     def test_header_and_initial_row(self, tmp_path):
         out_path = tmp_path / "trace.csv"

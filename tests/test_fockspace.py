@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from latticelight import (
+    SECTOR_DIM_CAP,
     FockBasis,
     FockEvolver,
     LatticeSpec,
@@ -14,7 +16,6 @@ from latticelight import (
     build_path_entangled,
     build_sector_hamiltonian,
     build_tmsv,
-    evolve,
     expectation_g2,
     expectation_n,
     fidelity,
@@ -71,9 +72,19 @@ class TestSectorHamiltonian:
         block = build_sector_hamiltonian(spec, basis4, 3)
         assert np.array_equal(block.matrix, block.matrix.T)
 
-    def test_dimension_cap(self, coupler, basis2):
-        with pytest.raises(ValueError):
-            build_sector_hamiltonian(coupler, basis2, 12, dim_cap=5)
+    def test_dimension_cap(self):
+        # 8 guides, 12 photons: dim 50 388 would need a 20 GB dense block
+        basis = FockBasis(8, 12)
+        start, stop = basis.sector(12)
+        assert stop - start == 50388 > SECTOR_DIM_CAP
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="50388"):
+                build_sector_hamiltonian(make_uniform(8, 0.0, 1.0), basis, 12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
 
     def test_sector_out_of_basis(self, coupler, basis2):
         with pytest.raises(ValueError):
@@ -83,15 +94,14 @@ class TestSectorHamiltonian:
 class TestEvolve:
     def test_vacuum_is_stationary(self, coupler, basis2):
         vacuum = build_fock(basis2, (0, 0))
+        evolver = FockEvolver(coupler, basis2)
         for z in (0.0, 0.9, 4.2):
-            assert fidelity(vacuum, evolve(coupler, vacuum, z)) == pytest.approx(
-                1.0, abs=1e-14
-            )
+            assert fidelity(vacuum, evolver.evolve(vacuum, z)) == pytest.approx(1.0, abs=1e-14)
 
     def test_full_transfer_with_phase(self, coupler, basis2):
         # one photon crosses the coupler picking up a -i
         state = build_fock(basis2, (1, 0))
-        evolved = evolve(coupler, state, math.pi / 2.0)
+        evolved = FockEvolver(coupler, basis2).evolve(state, math.pi / 2.0)
         amp_10 = evolved.amplitudes[basis2.index_of((1, 0))]
         amp_01 = evolved.amplitudes[basis2.index_of((0, 1))]
         assert abs(amp_10) < 1e-12
@@ -100,7 +110,7 @@ class TestEvolve:
     def test_transfer_chain_moves_photon(self, basis4):
         spec = make_perfect_transfer(4, 1.0)
         state = build_fock(basis4, (1, 0, 0, 0))
-        evolved = evolve(spec, state, 1.0)
+        evolved = FockEvolver(spec, basis4).evolve(state, 1.0)
         target = build_fock(basis4, (0, 0, 0, 1))
         assert fidelity(target, evolved) == pytest.approx(1.0, abs=1e-8)
 
@@ -142,7 +152,7 @@ class TestEvolve:
         with pytest.raises(ValueError, match=r"finite and >= 0"):
             FockEvolver(coupler, basis2).evolve(state, -0.1)
         with pytest.raises(ValueError, match=r"finite and >= 0"):
-            evolve(coupler, state, -1e-300)
+            FockEvolver(coupler, basis2).evolve(state, -1e-300)
 
 
 class TestFidelity:

@@ -144,6 +144,18 @@ class TestBuildCoherent:
         with pytest.warns(TruncationWarning):
             build_coherent(basis, [1.5, 0.0])
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_rejects_non_finite_amplitudes(self, basis2, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            build_coherent(basis2, [alpha, 0.0])
+
+    def test_rejects_amplitudes_whose_kept_mass_is_not_a_number(self, basis2):
+        # exp(-|alpha|^2 / 2) underflows to 0 while alpha^n overflows, so
+        # the kept probability is 0 * inf = NaN rather than a positive mass
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="no support"):
+                build_coherent(basis2, [1e200, 0.0])
+
 
 class TestBuildPathEntangled:
     def test_two_modes(self, basis2):
@@ -209,6 +221,11 @@ class TestBuildTmsv:
     def test_rejects_negative_squeezing(self, basis2):
         with pytest.raises(ValueError):
             build_tmsv(basis2, 0, 1, -0.1)
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_rejects_non_finite_squeezing(self, basis2, r):
+        with pytest.raises(ValueError, match="finite"):
+            build_tmsv(basis2, 0, 1, r)
 
 
 class TestMomentsOf:
