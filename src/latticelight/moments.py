@@ -107,7 +107,7 @@ def g2(U: TransferMatrix, m: MomentSet, p: int, q: int) -> float:
     )
     if a == b:
         value += complex(np.einsum("k,kl,l->", row_a.conj(), m.second, row_a))
-    if abs(value.imag) > _IMAG_LIMIT:
+    if not abs(value.imag) <= _IMAG_LIMIT:
         raise NumericalInconsistencyError(
             f"correlation g2[{p},{q}] acquired imaginary part {value.imag:.3e}"
         )
@@ -146,8 +146,8 @@ def trace_observables(
     lowest = means.real.min(axis=1)
     drift = np.abs(means.real.sum(axis=1) - m.total_photons())
     for values, bad, what in (
-        (lowest, lowest < -1e-10, "negative mean photon number"),
-        (drift, drift > 1e-10, "total photon number drifted by"),
+        (lowest, ~(lowest >= -1e-10), "negative mean photon number"),
+        (drift, ~(drift <= 1e-10), "total photon number drifted by"),
     ):
         if np.any(bad):
             i = np.argmax(bad)
@@ -164,5 +164,5 @@ def trace_observables(
 
 def _check_real(values: np.ndarray, message: str) -> None:
     worst = float(np.max(np.abs(values.imag), initial=0.0))
-    if worst > _IMAG_LIMIT:
+    if not worst <= _IMAG_LIMIT:
         raise NumericalInconsistencyError(message.format(worst))

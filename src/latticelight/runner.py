@@ -195,10 +195,8 @@ def run_spectrum(raw: dict) -> str:
     spectrum = eigendecompose(spec)
     lines = [INDEXING_NOTE]
     lines.append("k,lambda," + ",".join(f"v_{j}" for j in range(spec.size)))
-    for k in range(spec.size):
-        row = [str(k), _fmt(spectrum.eigenvalues[k])]
-        row.extend(_fmt(v) for v in spectrum.eigenvectors[k])
-        lines.append(",".join(row))
+    lines += _csv_rows(np.column_stack((np.arange(spec.size), spectrum.eigenvalues,
+                                        spectrum.eigenvectors)))
     return "\n".join(lines) + "\n"
 
 
@@ -215,8 +213,7 @@ def run_propagate(raw: dict) -> str:
     header += [f"F_{name}" for name in trace.targets]
     header += [f"g2_{p}_{q}" for p, q in trace.pairs]
     lines = [INDEXING_NOTE, ",".join(header)]
-    for row in np.hstack((trace.z[:, None], trace.means, trace.fid, trace.g2)):
-        lines.append(",".join(_fmt(v) for v in row))
+    lines += _csv_rows(np.hstack((trace.z[:, None], trace.means, trace.fid, trace.g2)))
     return "\n".join(lines) + "\n"
 
 
@@ -344,9 +341,9 @@ def _number_list(value, where: str) -> list[float]:
     return [_number(x, f"{where}[{i}]") for i, x in enumerate(value)]
 
 
-def _fmt(x: float) -> str:
-    """12 significant digits; IEEE round-half-even via Python's formatter."""
-    x = float(x)
-    if x == 0.0:
-        x = 0.0
-    return f"{x:.12g}"
+def _csv_rows(table: np.ndarray) -> list[str]:
+    """One CSV line per row of ``table``: 12 significant digits per cell, IEEE
+    round-half-even via Python's formatter; adding 0.0 prints -0.0 as 0."""
+    values = np.asarray(table, dtype=float) + 0.0
+    template = ",".join(["%.12g"] * values.shape[1])
+    return [template % tuple(row) for row in values.tolist()]

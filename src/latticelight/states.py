@@ -162,6 +162,8 @@ class FockState:
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (self.basis.size,):
             raise ValueError("amplitude vector does not match the basis size")
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("amplitudes must be finite")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 

@@ -18,3 +18,17 @@ def basis2() -> FockBasis:
 @pytest.fixture(scope="session")
 def basis4() -> FockBasis:
     return FockBasis(4, 12)
+
+
+@pytest.fixture(scope="session")
+def dense():
+    """Dense matrix of a SectorHamiltonian, scattered from its hop arrays;
+    the engine itself never forms one."""
+
+    def assemble(block):
+        matrix = np.diag(block.diagonal)
+        for rows, columns, weights in block.hops:
+            matrix[rows, columns] = weights
+        return matrix
+
+    return assemble

@@ -8,6 +8,7 @@ import pytest
 from latticelight.cli import main
 from latticelight.runner import (
     ConfigError,
+    _csv_rows,
     load_config,
     parse_config,
     parse_lattice,
@@ -274,6 +275,19 @@ class TestPropagateCommand:
         third = out.strip().splitlines()[3]
         z_cell = third.split(",")[0]
         assert z_cell == f"{math.pi / 20:.12g}"
+
+    def test_rows_match_the_per_cell_format(self):
+        def per_cell(x):
+            x = float(x)
+            if x == 0.0:
+                x = 0.0
+            return f"{x:.12g}"
+
+        edge = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e21, -1e21, 0.1 + 0.2,
+                1.0 / 3.0, 0.5, 2.5, 123456789012.5, 1e-7, 1e16, 12.0, math.pi, -math.e]
+        table = np.array(edge).reshape(4, 4)
+        assert _csv_rows(table) == [",".join(per_cell(v) for v in row) for row in table]
+        assert _csv_rows(table)[0].startswith("0,0,4.94065645841e-324,")
 
 
 class TestVerifyCommand:

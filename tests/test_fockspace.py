@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from latticelight import (
-    SECTOR_DIM_CAP,
     FockBasis,
     FockEvolver,
+    FockState,
     LatticeSpec,
+    NumericalInconsistencyError,
     TruncationWarning,
     build_coherent,
     build_fock,
@@ -23,7 +24,10 @@ from latticelight import (
     make_perfect_transfer,
     make_uniform,
     mirror_state,
+    propagate,
 )
+from latticelight import fockspace
+from latticelight.runner import engine_gate
 
 R_HALF = float(np.arcsinh(2**-0.5))
 
@@ -35,60 +39,92 @@ def quiet_tmsv(basis, mode_a=0, mode_b=1, r=R_HALF):
 
 
 class TestSectorHamiltonian:
-    def test_vacuum_sector_is_zero(self, coupler, basis2):
-        block = build_sector_hamiltonian(coupler, basis2, 0)
-        assert block.matrix.shape == (1, 1)
-        assert block.matrix[0, 0] == 0.0
+    def test_vacuum_sector_is_zero(self, coupler, basis2, dense):
+        block = build_sector_hamiltonian(coupler, basis2, 0, 0)
+        assert dense(block).shape == (1, 1)
+        assert dense(block)[0, 0] == 0.0
 
-    def test_one_photon_sector_equals_coupling_matrix(self, coupler, basis2):
-        block = build_sector_hamiltonian(coupler, basis2, 1)
-        assert np.array_equal(block.matrix, jacobi_matrix(coupler))
+    def test_one_photon_sector_equals_coupling_matrix(self, coupler, basis2, dense):
+        block = build_sector_hamiltonian(coupler, basis2, 1, 1)
+        assert np.array_equal(dense(block), jacobi_matrix(coupler))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_one_photon_sector_equals_coupling_matrix_random(self, seed):
+    def test_one_photon_sector_equals_coupling_matrix_random(self, seed, dense):
         rng = np.random.default_rng(seed)
         N = int(rng.integers(2, 7))
         spec = LatticeSpec(rng.uniform(-2, 2, N), rng.uniform(0.1, 2, N - 1))
         basis = FockBasis(N, 3)
-        block = build_sector_hamiltonian(spec, basis, 1)
-        assert np.array_equal(block.matrix, jacobi_matrix(spec))
+        block = build_sector_hamiltonian(spec, basis, 1, 1)
+        assert np.array_equal(dense(block), jacobi_matrix(spec))
 
-    def test_two_photon_sector_by_hand(self, coupler, basis2):
+    def test_two_photon_sector_by_hand(self, coupler, basis2, dense):
         # basis order (2,0), (1,1), (0,2); ladder algebra gives sqrt(2) hops
-        block = build_sector_hamiltonian(coupler, basis2, 2)
+        block = build_sector_hamiltonian(coupler, basis2, 2, 2)
         root2 = math.sqrt(2.0)
         expected = [[0.0, root2, 0.0], [root2, 0.0, root2], [0.0, root2, 0.0]]
-        assert np.allclose(block.matrix, expected, atol=1e-15)
+        assert np.allclose(dense(block), expected, atol=1e-15)
 
-    def test_detunings_enter_diagonal(self, basis2):
+    def test_detunings_enter_diagonal(self, basis2, dense):
         spec = LatticeSpec(np.array([0.7, -0.2]), np.array([1.0]))
-        block = build_sector_hamiltonian(spec, basis2, 2)
-        assert block.matrix[0, 0] == pytest.approx(1.4)   # (2, 0)
-        assert block.matrix[1, 1] == pytest.approx(0.5)   # (1, 1)
-        assert block.matrix[2, 2] == pytest.approx(-0.4)  # (0, 2)
+        block = build_sector_hamiltonian(spec, basis2, 2, 2)
+        assert dense(block)[0, 0] == pytest.approx(1.4)   # (2, 0)
+        assert dense(block)[1, 1] == pytest.approx(0.5)   # (1, 1)
+        assert dense(block)[2, 2] == pytest.approx(-0.4)  # (0, 2)
 
-    def test_exactly_symmetric(self, basis4):
+    def test_exactly_symmetric(self, basis4, dense):
         spec = make_perfect_transfer(4, 1.0)
-        block = build_sector_hamiltonian(spec, basis4, 3)
-        assert np.array_equal(block.matrix, block.matrix.T)
+        block = build_sector_hamiltonian(spec, basis4, 3, 3)
+        assert np.array_equal(dense(block), dense(block).T)
 
-    def test_dimension_cap(self):
-        # 8 guides, 12 photons: dim 50 388 would need a 20 GB dense block
+    def test_hops_stay_in_their_sector_once_per_direction(self, basis4):
+        # at most 2 (N - 1) off-diagonal nonzeros per row, none repeated
+        block = build_sector_hamiltonian(make_uniform(4, 0.3, 1.0), basis4, 2, 5)
+        assert (block.start, block.stop) == (basis4.sector(2)[0], basis4.sector(5)[1])
+        totals = basis4.occupations[block.start:block.stop].sum(axis=1)
+        assert len(block.hops) == 2 * (4 - 1)
+        for rows, columns, weights in block.hops:
+            assert np.unique(rows).size == rows.size == columns.size == weights.size
+            assert np.array_equal(totals[rows], totals[columns])
+        pairs = np.concatenate([rows * block.diagonal.size + columns
+                                for rows, columns, _ in block.hops])
+        assert np.unique(pairs).size == pairs.size
+
+    def test_work_guard_refuses_before_allocating(self):
+        # couplings of 1e200 would need a Chebyshev degree near 1e201
         basis = FockBasis(8, 12)
-        start, stop = basis.sector(12)
-        assert stop - start == 50388 > SECTOR_DIM_CAP
+        spec = LatticeSpec(np.zeros(8), np.full(7, 1e200))
+        state = build_fock(basis, [12] + [0] * 7)
+        evolver = FockEvolver(spec, basis)
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="50388"):
-                build_sector_hamiltonian(make_uniform(8, 0.0, 1.0), basis, 12)
+            with pytest.raises(ValueError, match=r"sector 12 needs Chebyshev degree"):
+                evolver.sweep(state, [0.0, 1.0], [(0, 1)])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 10**6
 
+    def test_largest_sector_propagates(self):
+        # 8 guides, 12 photons: sector 12 has dimension 50 388
+        basis = FockBasis(8, 12)
+        start, stop = basis.sector(12)
+        assert stop - start == 50388
+        spec = make_uniform(8, 0.0, 1.0)
+        amplitudes = np.zeros(basis.size, dtype=complex)
+        rng = np.random.default_rng(5)
+        amplitudes[start:stop] = rng.normal(size=stop - start) + 1j * rng.normal(size=stop - start)
+        state = FockState(basis, amplitudes / np.linalg.norm(amplitudes))
+        pairs = [(0, 0), (0, 7), (3, 4)]
+        traces = [propagate(spec, state, [0.0, 0.5], pairs, engine=engine)
+                  for engine in ("moments", "fock")]
+        gap, tolerance = engine_gate(*traces, state)
+        assert gap <= tolerance
+        assert np.allclose(traces[1].means.sum(axis=1), 12.0, atol=1e-10, rtol=0)
+
     def test_sector_out_of_basis(self, coupler, basis2):
-        with pytest.raises(ValueError):
-            build_sector_hamiltonian(coupler, basis2, 13)
+        for low, top in ((13, 13), (0, 13), (3, 2), (-1, 0)):
+            with pytest.raises(ValueError):
+                build_sector_hamiltonian(coupler, basis2, low, top)
 
 
 class TestEvolve:
@@ -153,6 +189,31 @@ class TestEvolve:
             FockEvolver(coupler, basis2).evolve(state, -0.1)
         with pytest.raises(ValueError, match=r"finite and >= 0"):
             FockEvolver(coupler, basis2).evolve(state, -1e-300)
+
+    def test_norm_drift_raises(self, coupler, basis2, monkeypatch):
+        # an expansion cut short is not unitary; the sweep must notice
+        monkeypatch.setattr(fockspace, "_degree", lambda x: 2)
+        state = build_fock(basis2, (3, 0))
+        with pytest.raises(NumericalInconsistencyError, match="norm drifted"):
+            FockEvolver(coupler, basis2).sweep(state, [0.0, 2.0])
+
+    def test_working_set_does_not_grow_with_grid_or_degree(self, basis4):
+        # ten times the grid and the distance: a dozen chained expansions
+        spec = make_perfect_transfer(4, 1.0)
+        state = build_coherent(basis4, [1.0, 0.0, 0.0, 0.0])
+        evolver = FockEvolver(spec, basis4)
+        evolver.sweep(state, [0.0, 1.0])  # assembles the cached hop arrays
+        peaks = []
+        for steps, stop in ((101, 1.0), (1001, 10.0)):
+            tracemalloc.start()
+            try:
+                trace = evolver.sweep(state, np.linspace(0.0, stop, steps), [(0, 1)])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert np.allclose(trace.means.sum(axis=1), trace.means[0].sum(), atol=1e-10)
+        # only the [Z, 4] means and [Z, 1] correlations grow: 900 x 5 x 8 bytes
+        assert peaks[1] < peaks[0] + 100_000
 
 
 class TestFidelity:

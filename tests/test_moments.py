@@ -192,6 +192,22 @@ class TestG2:
 
 
 class TestTraceObservables:
+    @pytest.mark.parametrize("where", ["second", "fourth"])
+    def test_nan_moments_fail_closed(self, coupler_spectrum, basis2, where):
+        # every check compares as `not worst <= limit`, so NaN cannot pass
+        moments = moments_of(build_fock(basis2, (1, 1)))
+        arrays = {"second": np.array(moments.second), "fourth": np.array(moments.fourth)}
+        arrays[where][0, ...] = math.nan
+        poisoned = MomentSet(arrays["second"], arrays["fourth"])
+        U = transfer_matrix(coupler_spectrum, 0.3)
+        with pytest.raises(NumericalInconsistencyError):
+            trace_observables(coupler_spectrum, poisoned, [0.0, 0.3], [(0, 1)])
+        with pytest.raises(NumericalInconsistencyError):
+            g2(U, poisoned, 0, 0)
+        if where == "second":
+            with pytest.raises(NumericalInconsistencyError):
+                mean_photons(U, poisoned)
+
     def test_empty_pairs_gives_means_only(self, coupler_spectrum, basis2):
         moments = moments_of(build_fock(basis2, (1, 0)))
         trace = trace_observables(coupler_spectrum, moments, [0.0, 0.5], [])

@@ -12,6 +12,7 @@ from latticelight import (
     FockState,
     LatticeSpec,
     NumericalInconsistencyError,
+    Trace,
     TruncationWarning,
     build_fock,
     build_sector_hamiltonian,
@@ -28,16 +29,12 @@ from latticelight import (
 from latticelight.runner import engine_gate
 
 
-def reference_observables(spec, state, z_values, pairs):
+def reference_observables(spec, state, z_values, pairs, dense):
     """Means, correlations and (initial, mirror) fidelities from one
     ``numpy.linalg.eigh`` of the full block-diagonal Hamiltonian, read per z
     through the single-state observables."""
     basis = state.basis
-    H = np.zeros((basis.size, basis.size))
-    for n in range(basis.max_total + 1):
-        block = build_sector_hamiltonian(spec, basis, n)
-        H[block.start:block.stop, block.start:block.stop] = block.matrix
-    vals, vecs = np.linalg.eigh(H)
+    vals, vecs = np.linalg.eigh(dense(build_sector_hamiltonian(spec, basis, 0, basis.max_total)))
     coefficients = vecs.T @ state.amplitudes
     targets = (state, mirror_state(state))
     means, g2, fid = [], [], []
@@ -53,7 +50,7 @@ class TestFockSweep:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), N=st.integers(2, 5), n_max=st.integers(1, 5),
            steps=st.integers(1, 9))
-    def test_matches_full_space_reference(self, seed, N, n_max, steps):
+    def test_matches_full_space_reference(self, seed, N, n_max, steps, dense):
         rng = np.random.default_rng(seed)
         spec = LatticeSpec(rng.uniform(-2.0, 2.0, N), rng.uniform(0.1, 2.0, N - 1))
         basis = FockBasis(N, n_max)
@@ -64,11 +61,12 @@ class TestFockSweep:
             start, stop = basis.sector(int(n))
             amplitudes[start:stop] = [1.0, 1j] @ rng.normal(size=(2, stop - start))
         state = FockState(basis, amplitudes / np.linalg.norm(amplitudes))
-        z_values = np.sort(rng.uniform(0.0, 5.0, steps))
+        # up to R z ~ 1000: several expansions, chained block to block
+        z_values = np.sort(rng.uniform(0.0, 40.0, steps))
         pairs = [tuple(int(j) for j in rng.integers(0, N, 2)) for _ in range(4)]
 
         trace = propagate(spec, state, z_values, pairs, ["initial", "mirror"], engine="fock")
-        means, g2, fid = reference_observables(spec, state, z_values, pairs)
+        means, g2, fid = reference_observables(spec, state, z_values, pairs, dense)
         assert trace.targets == ("initial", "mirror")
         assert trace.pairs == tuple(pairs)
         assert np.max(np.abs(trace.means - means)) < 1e-12
@@ -151,11 +149,16 @@ class TestEngineGate:
             assert gap < 1e-13
             assert gate == tolerance
 
-    def test_non_finite_gap_is_a_disagreement(self, coupler, basis2):
-        # a NaN amplitude passes through both engines; the gate must not
-        # read the NaN gap as agreement
-        amplitudes = np.zeros(basis2.size, dtype=complex)
-        amplitudes[basis2.index_of((1, 0))] = math.nan
-        state = FockState(basis2, amplitudes)
+    def test_non_finite_gap_is_a_disagreement(self, coupler, basis2, monkeypatch):
+        # the gate must not read a NaN gap as agreement
+        state = build_fock(basis2, (1, 0))
+        sweep = FockEvolver.sweep
+
+        def poisoned(self, *args):
+            trace = sweep(self, *args)
+            return Trace(trace.z, np.full_like(trace.means, math.nan), trace.g2,
+                         trace.pairs, trace.fid, trace.targets)
+
+        monkeypatch.setattr(FockEvolver, "sweep", poisoned)
         with pytest.raises(NumericalInconsistencyError, match="disagree"):
             propagate(coupler, state, [0.0, 1.0], [(0, 1)], engine="both")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from latticelight import (
     FockBasis,
+    FockState,
     TruncationWarning,
     analytic_moments_tmsv,
     build_coherent,
@@ -85,6 +86,15 @@ class TestFockBasis:
         basis = FockBasis(3, 4)
         with pytest.raises(ValueError):
             basis.index_of(occupation)
+
+
+class TestFockState:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_rejects_non_finite_amplitudes(self, basis2, bad):
+        amplitudes = np.zeros(basis2.size, dtype=complex)
+        amplitudes[basis2.index_of((1, 0))] = bad
+        with pytest.raises(ValueError, match="finite"):
+            FockState(basis2, amplitudes)
 
 
 class TestBuildFock:
