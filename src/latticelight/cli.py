@@ -7,7 +7,7 @@ Three commands:
 * ``verify``                          run the built-in acceptance checks
 
 Exit codes: 0 success, 1 verification or runtime failure, 2 configuration
-error.
+error or a run refused up front by the Fock engine's work cap.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .fockspace import WorkCapError
 from .runner import ConfigError, load_config, run_propagate, run_spectrum
 from .verify import format_report, run_acceptance
 
@@ -63,6 +64,9 @@ def main(argv=None) -> int:
             return 0 if all(res.passed for res in results) else 1
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        return 2
+    except WorkCapError as err:
+        print(f"refused: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # surface runtime failures without a traceback
         print(f"error: {err}", file=sys.stderr)

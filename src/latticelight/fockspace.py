@@ -30,6 +30,7 @@ from .states import FockBasis, FockState
 
 __all__ = [
     "FIDELITY_TARGETS",
+    "WorkCapError",
     "SectorHamiltonian",
     "build_sector_hamiltonian",
     "FockEvolver",
@@ -54,6 +55,11 @@ _TAIL = np.finfo(float).eps
 _NORM_DRIFT = 1e-10
 # fidelity targets: the initial state itself, or its mirror image
 FIDELITY_TARGETS = ("initial", "mirror")
+
+
+class WorkCapError(ValueError):
+    """A sweep needs more Chebyshev work than ``_WORK_CAP``; raised before
+    anything is allocated."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,11 +142,9 @@ class FockEvolver:
         """
         if not state.basis.same_shape(self.basis):
             raise ValueError("state basis does not match the evolver basis")
-        support = np.flatnonzero(state.amplitudes)
-        if not support.size or not z_values.size:
+        low, top = _occupied_sectors(state)
+        if top < low or not z_values.size:
             return
-        # sectors are stored in ascending order of their photon number
-        low, top = (int(self.basis.occupations[i].sum()) for i in support[[0, -1]])
         start, stop = self.basis.sector(low)[0], self.basis.sector(top)[1]
         dim = stop - start
         radius = top * self._half_width
@@ -148,7 +152,7 @@ class FockEvolver:
         span = radius * z_values[-1]
         nonzeros = dim * (2 * self.basis.num_modes - 1)
         if not span * nonzeros <= _WORK_CAP:
-            raise ValueError(
+            raise WorkCapError(
                 f"sector {top} needs Chebyshev degree above {span:.3g} up to "
                 f"z = {z_values[-1]:g}; with {nonzeros} nonzeros that exceeds the "
                 f"work cap {_WORK_CAP:.0e}"
@@ -346,8 +350,8 @@ def expectation_n(state: FockState, j: int) -> float:
     """Mean photon number of mode j."""
     if not 0 <= j < state.basis.num_modes:
         raise ValueError(f"mode {j} out of range")
-    # the contraction FockEvolver.sweep makes, so a one-point sweep agrees bit for bit
-    return float((_probabilities(state.amplitudes) @ state.basis.occupations)[j])
+    weights, block = _occupied_weights(state)
+    return float((weights @ block)[j])
 
 
 def expectation_g2(state: FockState, p: int, q: int) -> float:
@@ -355,10 +359,29 @@ def expectation_g2(state: FockState, p: int, q: int) -> float:
     basis = state.basis
     if not (0 <= p < basis.num_modes and 0 <= q < basis.num_modes):
         raise ValueError(f"indices ({p}, {q}) out of range")
-    weights = _probabilities(state.amplitudes)
-    return float(
-        np.dot(weights, basis.occupations[:, p] * basis.occupations[:, q])
-    )
+    weights, block = _occupied_weights(state)
+    return float((weights @ (block[:, [p]] * block[:, [q]]))[0])
+
+
+def _occupied_sectors(state: FockState) -> tuple[int, int]:
+    """Photon numbers of the lowest and the highest occupied sector (top <
+    low for a zero vector); sectors are stored in ascending order."""
+    support = np.flatnonzero(state.amplitudes)
+    if not support.size:
+        return 0, -1
+    low, top = state.basis.occupations[support[[0, -1]]].sum(axis=1)
+    return int(low), int(top)
+
+
+def _occupied_weights(state: FockState) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities and occupations over the occupied sector range, which
+    FockEvolver.sweep contracts the same way, so the expectations agree bit
+    for bit with a one-point sweep (of the one pair, for expectation_g2)."""
+    low, top = _occupied_sectors(state)
+    if top < low:
+        return np.zeros(0), state.basis.occupations[:0]
+    start, stop = state.basis.sector(low)[0], state.basis.sector(top)[1]
+    return _probabilities(state.amplitudes[start:stop]), state.basis.occupations[start:stop]
 
 
 def _probabilities(amplitudes: np.ndarray) -> np.ndarray:

@@ -224,23 +224,26 @@ def propagate(spec: LatticeSpec, state: FockState, z, pairs=(), targets=(),
     ``pairs`` selects the correlations <n_p n_q> and ``targets`` the
     fidelities ('initial' or 'mirror'), which only the Fock engine computes.
     With engine 'both' the Fock trace is returned once the moments engine
-    has confirmed it within the tolerance of ``engine_gate``.
+    has confirmed it within the tolerance of ``engine_gate``.  The Fock
+    engine runs first, so a sweep over its work cap is refused before any
+    work is done.
     """
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
     if targets and engine == "moments":
         raise ValueError("fidelities need the Fock engine; use engine 'fock' or 'both'")
-    if engine != "fock":
-        moments = trace_observables(eigendecompose(spec), moments_of(state), z, pairs)
-        if engine == "moments":
-            return moments
-    fock = FockEvolver(spec, state.basis).sweep(state, z, pairs, targets)
-    if engine == "both":
-        worst, tolerance = engine_gate(moments, fock, state)
-        if not worst <= tolerance:
-            raise NumericalInconsistencyError(
-                f"engines disagree by {worst:.3e} (tolerance {tolerance:.3e})"
-            )
+    if engine != "moments":
+        fock = FockEvolver(spec, state.basis).sweep(state, z, pairs, targets)
+        if engine == "fock":
+            return fock
+    moments = trace_observables(eigendecompose(spec), moments_of(state), z, pairs)
+    if engine == "moments":
+        return moments
+    worst, tolerance = engine_gate(moments, fock, state)
+    if not worst <= tolerance:
+        raise NumericalInconsistencyError(
+            f"engines disagree by {worst:.3e} (tolerance {tolerance:.3e})"
+        )
     return fock
 
 

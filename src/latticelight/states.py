@@ -44,7 +44,10 @@ class FockBasis:
 
     Positions are computed, not looked up: ``rank`` maps occupation vectors
     to their indices by counting the compositions that precede them
-    (combinatorial ranking, Knuth TAOCP 4A, 7.2.1.3).
+    (combinatorial ranking, Knuth TAOCP 4A, 7.2.1.3).  One pass over those
+    counts also gives the raising table rank(y + e_j) of every state y
+    below ``max_total`` photons, through which every ladder operator is a
+    gather.
     """
 
     def __init__(self, num_modes: int, max_total: int):
@@ -54,7 +57,7 @@ class FockBasis:
             raise ValueError("max_total must be non-negative")
         self.num_modes = N = int(num_modes)
         self.max_total = int(max_total)
-        self.occupations = np.concatenate(_compositions(N, self.max_total))
+        self.occupations = _compositions(N, self.max_total)
         self.occupations.setflags(write=False)
         # offsets[n] = number of basis states with fewer than n photons
         self._offsets = np.array(
@@ -68,7 +71,17 @@ class FockBasis:
              for j in range(N - 1)],
             dtype=np.int64,
         ).reshape(N - 1, self.max_total + 1)
-        self._lowering_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        # raising table _up[j, y] = rank(y + e_j) for y below max_total
+        # photons: y + e_0 lies one sector size after y, and y + e_(i+1)
+        # differs from y + e_i in the ranking term of mode i alone
+        sizes = np.diff(self._offsets)
+        totals = np.repeat(np.arange(self.max_total), sizes[:-1])
+        self._up = up = np.empty((N, totals.size), dtype=np.int64)
+        up[0] = np.arange(totals.size) + sizes[totals]
+        after = totals
+        for i, steps in enumerate(np.diff(self._preceding, axis=1)):
+            after = after - self.occupations[:totals.size, i]
+            np.add(up[i], steps[after], out=up[i + 1])
 
     @property
     def size(self) -> int:
@@ -108,40 +121,30 @@ class FockBasis:
             self.num_modes == other.num_modes and self.max_total == other.max_total
         )
 
-    def _lowering(self, mode: int):
-        """Sparse action of the annihilation operator on mode ``mode``."""
-        if mode not in self._lowering_cache:
-            occ = self.occupations
-            src = np.nonzero(occ[:, mode] > 0)[0]
-            amps = np.sqrt(occ[src, mode].astype(float))
-            lowered = occ[src]
-            lowered[:, mode] -= 1
-            self._lowering_cache[mode] = (src, self.rank(lowered), amps)
-        return self._lowering_cache[mode]
-
     def apply_annihilation(self, amplitudes: np.ndarray, mode: int) -> np.ndarray:
         """Amplitudes of a_mode |psi> in this same basis."""
         if not 0 <= mode < self.num_modes:
             raise ValueError(f"mode {mode} out of range")
-        src, dst, amps = self._lowering(mode)
+        up = self._up[mode]
         out = np.zeros(self.size, dtype=complex)
-        out[dst] = amps * amplitudes[src]
+        out[:up.size] = np.sqrt(self.occupations[:up.size, mode] + 1.0) * amplitudes[up]
         return out
 
 
-def _compositions(parts: int, max_total: int) -> list[np.ndarray]:
-    """Compositions of each total n <= max_total into ``parts`` parts, in
-    descending lexicographic order: first entries f = n, n - 1, ..., 0, each
-    followed by the compositions of n - f into one part fewer."""
-    table = [np.array([[r]], dtype=np.int64) for r in range(max_total + 1)]
+def _compositions(parts: int, max_total: int) -> np.ndarray:
+    """Compositions of each total n <= max_total into ``parts`` parts, by
+    ascending n and in descending lexicographic order within it: first
+    entries f = n, n - 1, ..., 0, each followed by the compositions of n - f
+    into one part fewer, which are the rows of totals 0 .. n of that table."""
+    table = np.arange(max_total + 1, dtype=np.int64)[:, None]
     for _ in range(parts - 1):
-        table = [
-            np.concatenate([
-                np.column_stack((np.full(len(table[r - f]), f), table[r - f]))
-                for f in range(r, -1, -1)
-            ])
-            for r in range(max_total + 1)
-        ]
+        totals = table.sum(axis=1)
+        ends = np.cumsum(np.bincount(totals))
+        out = np.empty((ends.sum(), table.shape[1] + 1), dtype=np.int64)
+        for n, block in enumerate(np.split(out, np.cumsum(ends)[:-1])):
+            block[:, 0] = n - totals[:len(block)]
+            block[:, 1:] = table[:len(block)]
+        table = out
     return table
 
 
@@ -266,22 +269,26 @@ def build_tmsv(
 def moments_of(state: FockState) -> MomentSet:
     """Second and fourth moments of a Fock state by exact ladder action.
 
-    With lowered[j] = a_j |psi>, the second moments form the Gram matrix
+    Every ladder vector is a gather through the raising table up[j, y] =
+    rank(y + e_j), kept only on the states it can occupy: lowered[j] =
+    a_j |psi> is sqrt(y_j + 1) psi(up[j, y]) for y below max_total photons,
+    and a_a a_b |psi> is sqrt(y_a + 1) lowered[b](up[a, y]) for y below
+    max_total - 1.  The second moments form the Gram matrix
     <a_j^dag a_k> = <lowered[j]|lowered[k]>.  The fourth moments are the
-    Gram matrix of the pair vectors a_a a_b |psi>: since the annihilators
-    commute, only the N (N + 1) / 2 pairs with a <= b are built, and
+    Gram matrix of the pair vectors: since the annihilators commute, only
+    the N (N + 1) / 2 pairs with a <= b are built, and
     <a_j^dag a_k^dag a_l a_m> is read from the entry of pairs (j, k) and
     (l, m).  Both Gram matrices are made exactly Hermitian.
     """
     basis = state.basis
     N = basis.num_modes
-    lowered = np.stack(
-        [basis.apply_annihilation(state.amplitudes, j) for j in range(N)]
-    )
+    up = basis._up
+    roots = np.sqrt(basis.occupations[:up.shape[1]].T + 1.0)
+    lowered = state.amplitudes[up] * roots
     a_modes, b_modes = np.triu_indices(N)
-    pairs = np.empty((a_modes.size, basis.size), dtype=complex)
-    for row, (a, b) in enumerate(zip(a_modes, b_modes)):
-        pairs[row] = basis.apply_annihilation(lowered[b], int(a))
+    size = basis.sector(max(basis.max_total - 1, 0))[0]
+    pairs = lowered[b_modes[:, None], up[a_modes, :size]]
+    pairs *= roots[a_modes, :size]
     # pair_index[j, k] = pair_index[k, j] = row of the pair vector a_j a_k |psi>
     pair_index = np.empty((N, N), dtype=np.int64)
     pair_index[a_modes, b_modes] = pair_index[b_modes, a_modes] = np.arange(a_modes.size)

@@ -196,6 +196,19 @@ class TestNonFiniteConfigNumbers:
         assert code == 2 and "lattice.explicit.couplings[0]: must be finite" in err
 
 
+class TestWorkCapRefusal:
+    def test_huge_couplings_exit_2_naming_the_sector(self, capsys, tmp_path):
+        # couplings of 1e200 would need a Chebyshev degree near 1e201
+        cfg = small_coupler_config()
+        cfg["lattice"]["explicit"]["couplings"] = [1e200]
+        out_path = tmp_path / "trace.csv"
+        code = main(["propagate", "--config", write_config(tmp_path, cfg), "--out", str(out_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "sector 1 needs Chebyshev degree" in err and "work cap" in err
+        assert not out_path.exists()
+
+
 class TestPropagateCommand:
     def test_header_and_initial_row(self, tmp_path):
         out_path = tmp_path / "trace.csv"

@@ -97,7 +97,7 @@ class TestSectorHamiltonian:
         evolver = FockEvolver(spec, basis)
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=r"sector 12 needs Chebyshev degree"):
+            with pytest.raises(fockspace.WorkCapError, match=r"sector 12 needs Chebyshev degree"):
                 evolver.sweep(state, [0.0, 1.0], [(0, 1)])
             _, peak = tracemalloc.get_traced_memory()
         finally:

@@ -79,7 +79,26 @@ class TestFockSweep:
         trace = evolver.sweep(state, [0.8], [(0, 1)], ["initial"])
         evolved = evolver.evolve(state, 0.8)
         assert np.array_equal(trace.means[0], [expectation_n(evolved, j) for j in range(2)])
+        assert np.array_equal(trace.g2[0], [expectation_g2(evolved, 0, 1)])
         assert trace.fid[0, 0] == pytest.approx(fidelity(state, evolved), abs=1e-15)
+
+    @pytest.mark.parametrize("N,n_max,low,top", [(2, 12, 3, 9), (4, 12, 0, 12), (4, 9, 2, 5),
+                                                 (5, 6, 6, 6)])
+    def test_expectations_are_one_point_sweeps_bit_for_bit(self, N, n_max, low, top):
+        basis = FockBasis(N, n_max)
+        rng = np.random.default_rng(N + n_max + low)
+        spec = LatticeSpec(rng.normal(size=N), rng.uniform(0.5, 1.5, N - 1))
+        start, stop = basis.sector(low)[0], basis.sector(top)[1]
+        amplitudes = np.zeros(basis.size, dtype=complex)
+        amplitudes[start:stop] = [1.0, 1j] @ rng.normal(size=(2, stop - start))
+        state = FockState(basis, amplitudes / np.linalg.norm(amplitudes))
+        evolver = FockEvolver(spec, basis)
+        evolved = evolver.evolve(state, 0.9)
+        for p in range(N):
+            for q in range(N):
+                trace = evolver.sweep(state, [0.9], [(p, q)])
+                assert trace.g2[0, 0] == expectation_g2(evolved, p, q)
+        assert np.array_equal(trace.means[0], [expectation_n(evolved, j) for j in range(N)])
 
 
 class TestPropagate:

@@ -1,4 +1,6 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +65,32 @@ class TestFockBasis:
     def test_rank_enumerates_the_basis(self, N, n_max):
         basis = FockBasis(N, n_max)
         assert np.array_equal(basis.rank(basis.occupations), np.arange(basis.size))
+
+    @pytest.mark.parametrize(
+        "N,n_max", [(N, n) for N in range(1, 6) for n in range(7)] + [(8, 12)]
+    )
+    def test_occupations_match_recursive_reference(self, N, n_max):
+        @functools.cache
+        def compositions(parts, total):
+            # descending lexicographic: first entries total, total - 1, ..., 0
+            if parts == 1:
+                return ((total,),)
+            return tuple((f,) + rest for f in range(total, -1, -1)
+                         for rest in compositions(parts - 1, total - f))
+
+        expected = [occ for n in range(n_max + 1) for occ in compositions(N, n)]
+        occupations = FockBasis(N, n_max).occupations
+        assert occupations.dtype == np.int64
+        assert np.array_equal(occupations, np.array(expected, dtype=np.int64).reshape(-1, N))
+
+    @pytest.mark.parametrize(
+        "N,n_max", [(N, n) for N in range(1, 7) for n in range(7)] + [(8, 12)]
+    )
+    def test_raising_table_ranks_the_raised_states(self, N, n_max):
+        basis = FockBasis(N, n_max)
+        lower = basis.occupations[:basis.sector(n_max)[0]]
+        raised = basis.rank(lower[:, None] + np.eye(N, dtype=np.int64))
+        assert np.array_equal(basis._up.T, raised)
 
     @pytest.mark.parametrize("N,n_max", [(1, 4), (2, 5), (3, 4), (4, 3), (5, 2)])
     def test_annihilation_matches_dict_reference(self, N, n_max):
@@ -307,6 +335,58 @@ class TestMomentsOf:
         # probability tail
         tol = max(1e-8, tol_scale * 2 * basis2.max_total * state.tail_mass)
         assert moments_of(state).total_photons() == pytest.approx(total, abs=tol)
+
+
+def dict_moments(basis, amplitudes):
+    """Second and fourth moments by ladder action on {occupation tuple:
+    amplitude} dicts, sharing nothing with the ranked basis but its order."""
+    N = basis.num_modes
+    psi = dict(zip(map(tuple, basis.occupations.tolist()), amplitudes))
+
+    def lower(vector, mode):
+        out = {}
+        for occ, amp in vector.items():
+            if occ[mode] > 0:
+                out[occ[:mode] + (occ[mode] - 1,) + occ[mode + 1:]] = math.sqrt(occ[mode]) * amp
+        return out
+
+    def inner(left, right):
+        return sum(np.conj(amp) * right.get(occ, 0.0) for occ, amp in left.items())
+
+    lowered = [lower(psi, j) for j in range(N)]
+    pairs = [[lower(lowered[k], j) for k in range(N)] for j in range(N)]
+    second = np.array([[inner(lowered[j], lowered[k]) for k in range(N)] for j in range(N)])
+    fourth = np.array([[[[inner(pairs[j][k], pairs[l][m]) for m in range(N)]
+                         for l in range(N)] for k in range(N)] for j in range(N)])
+    return second, fourth
+
+
+class TestMomentsOfAgainstReferences:
+    @pytest.mark.parametrize("N,n_max", [(N, n) for N in range(1, 6) for n in range(6)])
+    def test_matches_dict_reference(self, N, n_max):
+        # n_max 0 and 1 leave no state for the pair vectors
+        basis = FockBasis(N, n_max)
+        rng = np.random.default_rng(100 * N + n_max)
+        amplitudes = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
+        amplitudes /= np.linalg.norm(amplitudes)
+        moments = moments_of(FockState(basis, amplitudes))
+        second, fourth = dict_moments(basis, amplitudes)
+        assert np.max(np.abs(moments.second - second), initial=0.0) < 1e-13
+        assert np.max(np.abs(moments.fourth - fourth), initial=0.0) < 1e-13
+
+    def test_ladder_vectors_stay_off_the_full_basis(self):
+        # with full-basis ladder vectors the peak was above 160 MB
+        basis = FockBasis(8, 12)
+        rng = np.random.default_rng(12)
+        alphas = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        state = build_coherent(basis, 0.3 * alphas / np.linalg.norm(alphas))
+        tracemalloc.start()
+        try:
+            moments_of(state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 10**6
 
 
 class TestAnalyticTmsvMoments:
