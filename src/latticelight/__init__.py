@@ -20,10 +20,7 @@ from .fockspace import (
     mirror_state,
 )
 from .lattice import (
-    CouplerParams,
     LatticeSpec,
-    coupler_params,
-    coupler_single_photon_oracle,
     make_binary,
     make_glauber_fock,
     make_jacobi_semi_infinite,
@@ -39,10 +36,8 @@ from .moments import (
 )
 from .runner import propagate
 from .spectral import (
-    ConvergenceError,
     Spectrum,
     TransferMatrix,
-    char_poly,
     eigendecompose,
     jacobi_matrix,
     transfer_matrix,
@@ -63,19 +58,14 @@ from .states import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CouplerParams",
     "LatticeSpec",
-    "coupler_params",
-    "coupler_single_photon_oracle",
     "make_binary",
     "make_glauber_fock",
     "make_jacobi_semi_infinite",
     "make_perfect_transfer",
     "make_uniform",
-    "ConvergenceError",
     "Spectrum",
     "TransferMatrix",
-    "char_poly",
     "eigendecompose",
     "jacobi_matrix",
     "transfer_matrix",

@@ -23,14 +23,11 @@ import numpy as np
 
 __all__ = [
     "LatticeSpec",
-    "CouplerParams",
     "make_uniform",
     "make_glauber_fock",
     "make_binary",
     "make_perfect_transfer",
     "make_jacobi_semi_infinite",
-    "coupler_params",
-    "coupler_single_photon_oracle",
 ]
 
 
@@ -69,26 +66,6 @@ class LatticeSpec:
     def size(self) -> int:
         """Number of waveguides N."""
         return self.omegas.size
-
-
-@dataclass(frozen=True)
-class CouplerParams:
-    """Closed-form quantities of the two-waveguide coupler.
-
-    ``delta`` is the detuning difference between the guides, ``g`` the
-    coupling.  The derived fields are the beat frequency ``Omega``, the
-    normal-mode mixing amplitudes ``alpha``/``beta`` (alpha**2 + beta**2 = 1)
-    and the two normal-mode propagation constants ``gamma1`` >= ``gamma2``
-    with gamma1 - gamma2 = Omega and gamma1 + gamma2 = delta.
-    """
-
-    delta: float
-    g: float
-    Omega: float
-    alpha: float
-    beta: float
-    gamma1: float
-    gamma2: float
 
 
 def make_uniform(N: int, omega: float, g: float) -> LatticeSpec:
@@ -142,48 +119,6 @@ def make_jacobi_semi_infinite(N: int, omega: float) -> LatticeSpec:
     omegas = (1.0 + omega**2) * (j + 1.0)
     couplings = omega * np.sqrt((j[:-1] + 1.0) * (j[:-1] + 2.0))
     return LatticeSpec(omegas, couplings)
-
-
-def coupler_params(delta: float, g: float) -> CouplerParams:
-    """Derive the normal-mode quantities of a two-waveguide coupler."""
-    if not (g > 0):
-        raise ValueError("coupling g must be positive")
-    delta = float(delta)
-    g = float(g)
-    Omega = math.hypot(delta, 2.0 * g)
-    # Omega - delta is cancellation-prone for delta >> g; rewrite via
-    # (Omega - delta)(Omega + delta) = 4 g**2 when delta is positive.
-    if delta >= 0:
-        omega_minus_delta = 4.0 * g * g / (Omega + delta)
-    else:
-        omega_minus_delta = Omega - delta
-    alpha = 2.0 * g / math.sqrt(2.0 * Omega * omega_minus_delta)
-    beta = math.sqrt(omega_minus_delta / (2.0 * Omega))
-    gamma1 = 0.5 * (delta + Omega)
-    gamma2 = 0.5 * (delta - Omega)
-    return CouplerParams(delta, g, Omega, alpha, beta, gamma1, gamma2)
-
-
-def coupler_single_photon_oracle(
-    params: CouplerParams, z: float
-) -> tuple[float, float, float]:
-    """Closed-form single-photon observables for the balanced coupler.
-
-    Valid only for ``delta == 0`` (identical waveguides).  Returns the mean
-    photon numbers of the two guides and the fidelity of the propagated
-    single photon against the initial one, evaluated as the modulus of
-    beta**2 exp(-i gamma1 z) + alpha**2 exp(-i gamma2 z).
-    """
-    if params.delta != 0:
-        raise ValueError("closed-form single-photon observables require delta = 0")
-    gz = params.g * z
-    n1 = math.cos(gz) ** 2
-    n2 = math.sin(gz) ** 2
-    fid = abs(
-        params.beta**2 * np.exp(-1j * params.gamma1 * z)
-        + params.alpha**2 * np.exp(-1j * params.gamma2 * z)
-    )
-    return n1, n2, float(fid)
 
 
 def _check_size(N: int) -> None:

@@ -1,12 +1,15 @@
 """Eigen-decomposition of the tridiagonal coupling matrix and the
 single-excitation transfer matrix U(z) = V^T exp(-i Lambda z) V.
 
-The coupling matrix of a nearest-neighbor chain is real, symmetric and
-tridiagonal.  Its eigenvalues are located by Sturm-sequence bisection on the
-characteristic-polynomial recursion and its eigenvectors by inverse iteration
-with re-orthogonalization, so the solver has no dependencies beyond numpy
-array storage.  Chains are split into irreducible blocks wherever a coupling
-is exactly zero; within an irreducible block the eigenvalues are simple.
+The coupling matrix of a nearest-neighbor chain is a real symmetric Jacobi
+matrix.  Its eigenvectors are orthogonal-polynomial values,
+v_k(lambda) = v_0(lambda) P_k(lambda), which is what gives the paper's
+families their closed-form propagators.  The eigenpairs come from LAPACK's
+symmetric solver (``numpy.linalg.eigh``), which scales the matrix internally,
+so chains with couplings anywhere in the floating-point range are solved.
+Only the moments engine uses this module's eigenpairs: the Fock engine makes
+no eigendecomposition, and ``verify`` checks the spectra against closed forms
+that need no eigensolver.
 """
 
 from __future__ import annotations
@@ -19,20 +22,16 @@ import numpy as np
 from .lattice import LatticeSpec
 
 __all__ = [
-    "ConvergenceError",
     "Spectrum",
     "TransferMatrix",
     "jacobi_matrix",
-    "char_poly",
     "eigendecompose",
     "transfer_matrix",
 ]
 
-_EPS = np.finfo(float).eps
-
-
-class ConvergenceError(RuntimeError):
-    """The eigensolver exhausted its iteration budget."""
+# Components below this fraction of a row's largest are not trusted to fix
+# its sign: their rounding error can exceed their size.
+_SIGN_FLOOR = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,69 +89,29 @@ def jacobi_matrix(spec: LatticeSpec) -> np.ndarray:
     return mat
 
 
-def char_poly(spec: LatticeSpec, x: float) -> float:
-    """Characteristic polynomial det(M - x I) via the three-term recursion.
-
-    p_0 = 1, p_1 = omega_0 - x and
-    p_j = (omega_{j-1} - x) p_{j-1} - g_{j-2}**2 p_{j-2}.
-    """
-    omegas = spec.omegas
-    couplings = spec.couplings
-    p_prev = 1.0
-    p = omegas[0] - x
-    for row in range(1, spec.size):
-        p_prev, p = p, (omegas[row] - x) * p - couplings[row - 1] ** 2 * p_prev
-    return float(p)
-
-
-def eigendecompose(
-    spec: LatticeSpec, *, rel_tol: float = 1e-12, max_iter: int | None = None
-) -> Spectrum:
-    """Full eigen-decomposition of the chain's coupling matrix.
-
-    Parameters
-    ----------
-    spec : LatticeSpec
-        The chain to decompose.
-    rel_tol : float
-        Bisection stops once an eigenvalue bracket is narrower than
-        ``rel_tol`` times the matrix scale (plus an eps-level floor).
-    max_iter : int, optional
-        Budget of bisection steps per eigenvalue; defaults to 100 * N.
+def eigendecompose(spec: LatticeSpec) -> Spectrum:
+    """Full eigen-decomposition of the chain's coupling matrix by LAPACK ``eigh``.
 
     Returns
     -------
     Spectrum
-        Eigenvalues ascending.  Each eigenvector row is normalized, its
-        first component of largest magnitude made positive.  Exactly equal
-        eigenvalues (possible only when a coupling is exactly zero) are
-        ordered by lexicographic comparison of their eigenvector rows.
+        Eigenvalues ascending, with orthonormal eigenvector rows.  Each row
+        has its first component of magnitude at least 1e-8 times its largest
+        made positive.  On a chain without zero couplings ``v_0`` never
+        vanishes, so that component is ``v_0``, the normalisation
+        ``P_0 = 1`` of ``v_k = v_0 P_k(lambda)``, unless ``v_0`` is below
+        the floor.  The sign then does not hang on rounding, as a rule
+        keyed to the largest component would on mirror-symmetric chains.
+        Exactly equal eigenvalues (possible only when a coupling is exactly
+        zero) are ordered by lexicographic comparison of their rows.
     """
-    N = spec.size
-    if max_iter is None:
-        max_iter = 100 * N
-    d = spec.omegas
-    e = spec.couplings
-    scale = max(np.max(np.abs(d)), np.max(np.abs(e)) if e.size else 0.0, 1e-300)
-
-    eigenvalues = np.empty(N)
-    vectors = np.zeros((N, N))
-    pos = 0
-    for start, stop in _irreducible_blocks(e):
-        m = stop - start
-        block_d = d[start:stop]
-        block_e = e[start : stop - 1]
-        vals, vecs = _solve_block(block_d, block_e, rel_tol, max_iter, scale, start)
-        eigenvalues[pos : pos + m] = vals
-        vectors[pos : pos + m, start:stop] = vecs
-        pos += m
-
-    for row in vectors:
-        lead = np.argmax(np.abs(row))
-        if row[lead] < 0:
-            row *= -1.0
-
-    order = sorted(range(N), key=lambda k: (eigenvalues[k], tuple(vectors[k])))
+    eigenvalues, columns = np.linalg.eigh(jacobi_matrix(spec))
+    vectors = columns.T
+    magnitudes = np.abs(vectors)
+    trusted = magnitudes >= _SIGN_FLOOR * magnitudes.max(axis=1, keepdims=True)
+    lead = vectors[np.arange(spec.size), np.argmax(trusted, axis=1)]
+    vectors = vectors * np.copysign(1.0, lead)[:, None]
+    order = np.lexsort(np.vstack((vectors.T[::-1], eigenvalues)))
     return Spectrum(eigenvalues[order], vectors[order])
 
 
@@ -164,128 +123,3 @@ def transfer_matrix(spectrum: Spectrum, z: float) -> TransferMatrix:
     V = spectrum.eigenvectors
     entries = V.T @ (phases[:, None] * V)
     return TransferMatrix(z=float(z), entries=entries)
-
-
-def _irreducible_blocks(e: np.ndarray):
-    """Index ranges of the chain segments separated by exactly-zero couplings."""
-    start = 0
-    for j, coupling in enumerate(e):
-        if coupling == 0.0:
-            yield start, j + 1
-            start = j + 1
-    yield start, e.size + 1
-
-
-def _sturm_count(d: np.ndarray, e_sq: np.ndarray, x: float, pivmin: float) -> int:
-    """Number of eigenvalues of the block below x.
-
-    A pivot smaller than ``pivmin`` means x essentially hits an eigenvalue
-    of a leading minor; it is clamped to an infinitesimally negative value,
-    which charges the pair of recursion steps it spans with exactly one
-    sign change and keeps the following division from overflowing.
-    """
-    count = 0
-    q = d[0] - x
-    for i in range(1, d.size + 1):
-        if abs(q) < pivmin:
-            q = -pivmin
-        if q < 0:
-            count += 1
-        if i < d.size:
-            q = (d[i] - x) - e_sq[i - 1] / q
-    return count
-
-
-def _solve_block(d, e, rel_tol, max_iter, scale, block_start):
-    """Eigenpairs of one irreducible tridiagonal block."""
-    m = d.size
-    if m == 1:
-        return np.array([d[0]]), np.ones((1, 1))
-
-    e_sq = e * e
-    pivmin = 1e-290 * max(1.0, float(np.max(e_sq)))
-    radius = np.abs(d).copy()
-    radius[:-1] += np.abs(e)
-    radius[1:] += np.abs(e)
-    lo = float(np.min(d - radius)) - 2 * _EPS * scale
-    hi = float(np.max(d + radius)) + 2 * _EPS * scale
-
-    width_floor = rel_tol * scale + 4 * _EPS * scale
-    vals = np.empty(m)
-    for k in range(m):
-        a, b = lo, hi
-        steps = 0
-        while b - a > width_floor + _EPS * (abs(a) + abs(b)):
-            if steps >= max_iter:
-                raise ConvergenceError(
-                    f"eigenvalue {k} bisection exceeded {max_iter} steps"
-                )
-            mid = 0.5 * (a + b)
-            if _sturm_count(d, e_sq, mid, pivmin) >= k + 1:
-                b = mid
-            else:
-                a = mid
-            steps += 1
-        vals[k] = 0.5 * (a + b)
-
-    vecs = np.empty((m, m))
-    T = np.diag(d)
-    idx = np.arange(m - 1)
-    T[idx, idx + 1] = e
-    T[idx + 1, idx] = e
-    # The residual of a converged eigenvector is bounded by the bisection
-    # bracket width plus rounding in the matrix-vector product.
-    settle_tol = 2.0 * width_floor + 64 * _EPS * scale
-    residual_tol = 1e-10 * max(1.0, scale)
-    for k in range(m):
-        vecs[k] = _inverse_iteration(T, vals[k], vecs[:k], scale, settle_tol, block_start, k)
-        # Rayleigh-quotient polish: sharpens the bisected eigenvalue from
-        # bracket-width accuracy down to rounding level.
-        vals[k] = float(vecs[k] @ T @ vecs[k])
-        residual = np.max(np.abs(T @ vecs[k] - vals[k] * vecs[k]))
-        if residual > residual_tol:
-            raise ConvergenceError(
-                f"eigenvector {k} residual {residual:.3e} above {residual_tol:.3e}"
-            )
-    return vals, vecs
-
-
-def _inverse_iteration(T, lam, previous, scale, settle_tol, block_start, k):
-    """One eigenvector of T for the (accurate) eigenvalue lam."""
-    m = T.shape[0]
-    rng = np.random.default_rng(40961 * (block_start + 1) + k)
-    v = rng.standard_normal(m)
-    v /= np.linalg.norm(v)
-    shift = lam
-    identity = np.eye(m)
-    best = v
-    best_residual = np.inf
-    for attempt in range(20):
-        try:
-            w = np.linalg.solve(T - shift * identity, v)
-        except np.linalg.LinAlgError:
-            shift = lam + (attempt + 1) * 4 * _EPS * scale
-            continue
-        norm = np.linalg.norm(w)
-        if not np.isfinite(norm) or norm == 0.0:
-            shift = lam + (attempt + 1) * 4 * _EPS * scale
-            continue
-        v = _orthogonalize(w / norm, previous)
-        residual = np.max(np.abs(T @ v - lam * v))
-        if residual < best_residual:
-            best, best_residual = v, residual
-        if residual <= settle_tol:
-            return v
-    return best
-
-
-def _orthogonalize(v, previous):
-    """Modified Gram-Schmidt (two passes) against earlier eigenvectors."""
-    for _ in range(2):
-        for u in previous:
-            v = v - np.dot(u, v) * u
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            raise ConvergenceError("eigenvector collapsed during orthogonalization")
-        v = v / norm
-    return v

@@ -5,9 +5,11 @@ spectra, mirror transfer, engine cross-agreement, conservation laws,
 deterministic output) to an explicit tolerance.  ``run_acceptance`` executes
 all of them and is what the ``verify`` CLI command reports.
 
-The Hermite-zero finder used to cross-check the square-root-graded chain is
-deliberately independent of the package eigensolver: it brackets roots by
-interlacing and bisects the plain three-term polynomial recursion.
+The oracles here need no eigensolver, so they check the one the moments
+engine uses (LAPACK ``eigh``) independently: the Hermite-zero finder for the
+square-root-graded chain brackets roots by interlacing and bisects the plain
+three-term polynomial recursion, the uniform chain is checked against the
+cosine law, and the two-waveguide coupler against its normal-mode closed form.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ import numpy as np
 
 from .lattice import (
     LatticeSpec,
-    coupler_single_photon_oracle,
-    coupler_params,
     make_binary,
     make_glauber_fock,
     make_jacobi_semi_infinite,
@@ -41,8 +41,8 @@ from .states import (
     build_tmsv,
 )
 
-__all__ = ["CheckResult", "hermite_zeros", "run_acceptance", "format_report",
-           "R_HALF_PHOTON"]
+__all__ = ["CheckResult", "CouplerParams", "coupler_params", "coupler_single_photon_oracle",
+           "hermite_zeros", "run_acceptance", "format_report", "R_HALF_PHOTON"]
 
 # squeezing that puts half a photon in each squeezed mode: arcsinh(2**-0.5)
 R_HALF_PHOTON = float(np.arcsinh(2**-0.5))
@@ -100,6 +100,68 @@ def hermite_zeros(n: int) -> np.ndarray:
             new_roots.append(0.5 * (a + b))
         roots = np.array(new_roots)
     return roots
+
+
+@dataclass(frozen=True)
+class CouplerParams:
+    """Closed-form quantities of the two-waveguide coupler.
+
+    ``delta`` is the detuning difference between the guides, ``g`` the
+    coupling.  The derived fields are the beat frequency ``Omega``, the
+    normal-mode mixing amplitudes ``alpha``/``beta`` (alpha**2 + beta**2 = 1)
+    and the two normal-mode propagation constants ``gamma1`` >= ``gamma2``
+    with gamma1 - gamma2 = Omega and gamma1 + gamma2 = delta.
+    """
+
+    delta: float
+    g: float
+    Omega: float
+    alpha: float
+    beta: float
+    gamma1: float
+    gamma2: float
+
+
+def coupler_params(delta: float, g: float) -> CouplerParams:
+    """Derive the normal-mode quantities of a two-waveguide coupler."""
+    if not (g > 0):
+        raise ValueError("coupling g must be positive")
+    delta = float(delta)
+    g = float(g)
+    Omega = math.hypot(delta, 2.0 * g)
+    # Omega - delta is cancellation-prone for delta >> g; rewrite via
+    # (Omega - delta)(Omega + delta) = 4 g**2 when delta is positive.
+    if delta >= 0:
+        omega_minus_delta = 4.0 * g * g / (Omega + delta)
+    else:
+        omega_minus_delta = Omega - delta
+    alpha = 2.0 * g / math.sqrt(2.0 * Omega * omega_minus_delta)
+    beta = math.sqrt(omega_minus_delta / (2.0 * Omega))
+    gamma1 = 0.5 * (delta + Omega)
+    gamma2 = 0.5 * (delta - Omega)
+    return CouplerParams(delta, g, Omega, alpha, beta, gamma1, gamma2)
+
+
+def coupler_single_photon_oracle(
+    params: CouplerParams, z: float
+) -> tuple[float, float, float]:
+    """Closed-form single-photon observables for the balanced coupler.
+
+    Valid only for ``delta == 0`` (identical waveguides).  Returns the mean
+    photon numbers of the two guides and the fidelity of the propagated
+    single photon against the initial one, evaluated as the modulus of
+    beta**2 exp(-i gamma1 z) + alpha**2 exp(-i gamma2 z).
+    """
+    if params.delta != 0:
+        raise ValueError("closed-form single-photon observables require delta = 0")
+    gz = params.g * z
+    n1 = math.cos(gz) ** 2
+    n2 = math.sin(gz) ** 2
+    fid = abs(
+        params.beta**2 * np.exp(-1j * params.gamma1 * z)
+        + params.alpha**2 * np.exp(-1j * params.gamma2 * z)
+    )
+    return n1, n2, float(fid)
 
 
 def run_acceptance(fault: str | None = None) -> list[CheckResult]:

@@ -12,6 +12,7 @@ from latticelight.runner import (
     load_config,
     parse_config,
     parse_lattice,
+    propagate,
     run_propagate,
     run_spectrum,
 )
@@ -207,6 +208,39 @@ class TestWorkCapRefusal:
         assert code == 2
         assert "sector 1 needs Chebyshev degree" in err and "work cap" in err
         assert not out_path.exists()
+
+
+class TestOverflowScaleChains:
+    """Chains that are only rescaled unit chains run like the unit chain."""
+
+    def scaled_config(self, scale):
+        return {
+            "lattice": {"explicit": {"omegas": [0.0] * 8, "couplings": [scale] * 7}},
+            "state": {"kind": "coherent", "alphas": [0.3] + [0.0] * 7},
+            "z_grid": {"start": 0.0, "stop": 1.0 / scale, "steps": 11},
+            "n_max": 6,
+            "pairs": [[0, 0], [0, 7], [3, 4]],
+            "engine": "moments",
+        }
+
+    def test_moments_engine_is_scale_invariant(self, tmp_path):
+        out_path = tmp_path / "trace.csv"
+        cfg = self.scaled_config(1e200)
+        assert main(["propagate", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out_path)]) == 0
+        assert len(out_path.read_text(encoding="utf-8").splitlines()) == 2 + 11
+        scaled, unit = (parse_config(self.scaled_config(scale)) for scale in (1e200, 1.0))
+        traces = [propagate(c.spec, c.state, c.z_values, c.pairs, engine="moments")
+                  for c in (scaled, unit)]
+        assert np.max(np.abs(traces[0].means - traces[1].means)) <= 1e-12
+        assert np.max(np.abs(traces[0].g2 - traces[1].g2)) <= 1e-12
+
+    def test_spectrum_of_graded_chain(self, capsys, tmp_path):
+        couplings = np.logspace(-200.0, 200.0, 7).tolist()
+        cfg = {"lattice": {"explicit": {"omegas": [0.0] * 8, "couplings": couplings}}}
+        assert main(["spectrum", "--config", write_config(tmp_path, cfg)]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[2:]
+        assert len(rows) == 8
 
 
 class TestPropagateCommand:

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from latticelight import (
     LatticeSpec,
-    coupler_params,
-    coupler_single_photon_oracle,
     eigendecompose,
     make_binary,
     make_glauber_fock,
@@ -16,6 +14,7 @@ from latticelight import (
     make_perfect_transfer,
     make_uniform,
 )
+from latticelight.verify import coupler_params, coupler_single_photon_oracle
 
 
 class TestLatticeSpec:

@@ -15,8 +15,6 @@ from latticelight import (
     build_fock,
     build_path_entangled,
     build_tmsv,
-    coupler_params,
-    coupler_single_photon_oracle,
     eigendecompose,
     g2,
     make_perfect_transfer,
@@ -25,6 +23,7 @@ from latticelight import (
     trace_observables,
     transfer_matrix,
 )
+from latticelight.verify import coupler_params, coupler_single_photon_oracle
 
 R_HALF = float(np.arcsinh(2**-0.5))
 

@@ -6,22 +6,53 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticelight import (
-    ConvergenceError,
     LatticeSpec,
-    char_poly,
     eigendecompose,
     jacobi_matrix,
+    make_binary,
     make_glauber_fock,
+    make_jacobi_semi_infinite,
     make_perfect_transfer,
     make_uniform,
     transfer_matrix,
 )
 from latticelight.verify import hermite_zeros
 
+FAMILIES = {
+    "uniform": lambda N: make_uniform(N, 0.3, 1.0),
+    "glauber_fock": lambda N: make_glauber_fock(N, 0.0, 1.0),
+    "binary": lambda N: make_binary(N, 0.3, 1.0),
+    "perfect_transfer": lambda N: make_perfect_transfer(N, 1.0),
+    "jacobi_semi_infinite": lambda N: make_jacobi_semi_infinite(N, 0.5),
+}
+SIZES = (2, 3, 4, 5, 8, 13, 16, 32)
+
+# chains whose squared couplings overflow or underflow double precision
+OVERFLOW_SCALE_CHAINS = {
+    "uniform-1e200": LatticeSpec(np.zeros(8), np.full(7, 1e200)),
+    "graded-1e-200-to-1e200": LatticeSpec(np.zeros(8), np.logspace(-200.0, 200.0, 7)),
+}
+
 
 def random_spec(rng):
     N = int(rng.integers(2, 17))
     return LatticeSpec(rng.uniform(-2.0, 2.0, N), rng.uniform(0.1, 2.0, N - 1))
+
+
+def char_poly(spec, x):
+    """det(M - x I) by the three-term recursion p_0 = 1, p_1 = omega_0 - x,
+    p_j = (omega_{j-1} - x) p_{j-1} - g_{j-2}**2 p_{j-2}; it shares no code
+    with the eigensolver, so its roots check the computed eigenvalues."""
+    p_prev, p = 1.0, spec.omegas[0] - x
+    for row in range(1, spec.size):
+        p_prev, p = p, (spec.omegas[row] - x) * p - spec.couplings[row - 1] ** 2 * p_prev
+    return float(p)
+
+
+def leading_component(row):
+    """The first component of magnitude at least 1e-8 times the row's largest."""
+    magnitudes = np.abs(row)
+    return row[np.argmax(magnitudes >= 1e-8 * magnitudes.max())]
 
 
 class TestJacobiMatrix:
@@ -86,7 +117,7 @@ class TestEigendecompose:
             atol=1e-12,
         )
 
-    @pytest.mark.parametrize("N,g", [(5, 1.0), (8, 1.0), (12, 0.7)])
+    @pytest.mark.parametrize("N,g", [(5, 1.0), (8, 1.0), (12, 0.7), (1000, 1.0)])
     def test_uniform_chain_cosine_spectrum(self, N, g):
         spectrum = eigendecompose(make_uniform(N, 0.0, g))
         k = np.arange(1, N + 1)
@@ -126,12 +157,29 @@ class TestEigendecompose:
             assert overlap == pytest.approx(1.0, abs=1e-8)
 
     def test_sign_convention(self):
+        # random unreduced chains: v_0 carries the sign, P_0 = 1
         rng = np.random.default_rng(23)
         for _ in range(20):
-            spectrum = eigendecompose(random_spec(rng))
-            for row in spectrum.eigenvectors:
-                lead = np.argmax(np.abs(row))
-                assert row[lead] > 0
+            V = eigendecompose(random_spec(rng)).eigenvectors
+            assert np.all(V[:, 0] > 0)
+        for make in FAMILIES.values():
+            for N in SIZES:
+                for row in eigendecompose(make(N)).eigenvectors:
+                    assert leading_component(row) > 0
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_rows_are_continuous_under_detuning(self, family):
+        # mirror-symmetric chains have |v_j| = |v_{N-1-j}| exactly, so a sign
+        # rule decided by the largest component would flip under rounding
+        for N in SIZES:
+            spec = FAMILIES[family](N)
+            V = eigendecompose(spec).eigenvectors
+            for j in range(N):
+                for shift in (-1e-14, 1e-14):
+                    omegas = np.array(spec.omegas)
+                    omegas[j] += shift
+                    moved = eigendecompose(LatticeSpec(omegas, spec.couplings)).eigenvectors
+                    assert np.max(np.abs(moved - V)) <= 1e-8, (N, j, shift)
 
     def test_orthogonality_and_residual_on_random_chains(self):
         rng = np.random.default_rng(37)
@@ -173,9 +221,15 @@ class TestEigendecompose:
         assert tuple(V[0]) <= tuple(V[1])
         assert tuple(V[2]) <= tuple(V[3])
 
-    def test_exhausted_iteration_budget_raises(self):
-        with pytest.raises(ConvergenceError):
-            eigendecompose(make_uniform(8, 0.0, 1.0), max_iter=2)
+    @pytest.mark.parametrize("name", sorted(OVERFLOW_SCALE_CHAINS))
+    def test_overflow_scale_chains(self, name):
+        spec = OVERFLOW_SCALE_CHAINS[name]
+        matrix = jacobi_matrix(spec)
+        spectrum = eigendecompose(spec)
+        V = spectrum.eigenvectors
+        assert np.max(np.abs(V @ V.T - np.eye(spec.size))) <= 1e-14
+        residual = matrix @ V.T - V.T * spectrum.eigenvalues[None, :]
+        assert np.max(np.abs(residual)) <= 1e-14 * np.max(np.abs(matrix))
 
     def test_large_chain_converges(self):
         spectrum = eigendecompose(make_uniform(64, 0.0, 1.0))
