@@ -8,17 +8,13 @@ evolves truncated Fock amplitudes by a Chebyshev expansion over sparse
 photon-number-sector hop arrays, with no eigensolve.  Their agreement on mean
 photon numbers and photon-number correlations is the package's built-in
 cross-check; run it with ``latticelight verify``.
+
+The package exports the lattice and state builders and ``propagate``, the
+one entry point of both engines.  Engine internals are imported from their
+modules (``latticelight.spectral``, ``latticelight.moments``,
+``latticelight.fockspace``, ``latticelight.states``).
 """
 
-from .fockspace import (
-    FockEvolver,
-    SectorHamiltonian,
-    build_sector_hamiltonian,
-    expectation_g2,
-    expectation_n,
-    fidelity,
-    mirror_state,
-)
 from .lattice import (
     LatticeSpec,
     make_binary,
@@ -27,32 +23,16 @@ from .lattice import (
     make_perfect_transfer,
     make_uniform,
 )
-from .moments import (
-    NumericalInconsistencyError,
-    Trace,
-    g2,
-    mean_photons,
-    trace_observables,
-)
+from .moments import NumericalInconsistencyError, Trace
 from .runner import propagate
-from .spectral import (
-    Spectrum,
-    TransferMatrix,
-    eigendecompose,
-    jacobi_matrix,
-    transfer_matrix,
-)
 from .states import (
     FockBasis,
     FockState,
-    MomentSet,
     TruncationWarning,
-    analytic_moments_tmsv,
     build_coherent,
     build_fock,
     build_path_entangled,
     build_tmsv,
-    moments_of,
 )
 
 __version__ = "0.1.0"
@@ -64,33 +44,15 @@ __all__ = [
     "make_jacobi_semi_infinite",
     "make_perfect_transfer",
     "make_uniform",
-    "Spectrum",
-    "TransferMatrix",
-    "eigendecompose",
-    "jacobi_matrix",
-    "transfer_matrix",
     "FockBasis",
     "FockState",
-    "MomentSet",
     "TruncationWarning",
-    "analytic_moments_tmsv",
     "build_coherent",
     "build_fock",
     "build_path_entangled",
     "build_tmsv",
-    "moments_of",
-    "NumericalInconsistencyError",
-    "Trace",
-    "g2",
-    "mean_photons",
-    "trace_observables",
     "propagate",
-    "FockEvolver",
-    "SectorHamiltonian",
-    "build_sector_hamiltonian",
-    "expectation_g2",
-    "expectation_n",
-    "fidelity",
-    "mirror_state",
+    "Trace",
+    "NumericalInconsistencyError",
     "__version__",
 ]

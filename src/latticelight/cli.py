@@ -58,10 +58,9 @@ def main(argv=None) -> int:
             with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
                 handle.write(csv_text)
             return 0
-        if args.command == "verify":
-            results = run_acceptance(fault=args.inject_fault)
-            print(format_report(results))
-            return 0 if all(res.passed for res in results) else 1
+        results = run_acceptance(fault=args.inject_fault)  # the verify command
+        print(format_report(results))
+        return 0 if all(res.passed for res in results) else 1
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
@@ -71,7 +70,6 @@ def main(argv=None) -> int:
     except Exception as err:  # surface runtime failures without a traceback
         print(f"error: {err}", file=sys.stderr)
         return 1
-    return 2
 
 
 if __name__ == "__main__":

@@ -34,10 +34,7 @@ __all__ = [
     "SectorHamiltonian",
     "build_sector_hamiltonian",
     "FockEvolver",
-    "fidelity",
     "mirror_state",
-    "expectation_n",
-    "expectation_g2",
 ]
 
 # working-set budget in amplitudes (1 MiB complex): bounds the grid rows of
@@ -112,7 +109,7 @@ def build_sector_hamiltonian(
 
 
 class FockEvolver:
-    """Evolves states of one lattice; the propagator of each sector range is cached."""
+    """Evolves states of one lattice in a truncated Fock basis."""
 
     def __init__(self, spec: LatticeSpec, basis: FockBasis):
         if spec.size != basis.num_modes:
@@ -126,7 +123,6 @@ class FockEvolver:
         lo, hi = np.min(spec.omegas - reach), np.max(spec.omegas + reach)
         self._center = 0.5 * (lo + hi)
         self._half_width = 0.5 * (hi - lo)
-        self._steps: dict[tuple[int, int], _ChebyshevStep] = {}
 
     def _propagate(self, state: FockState, z_values: np.ndarray):
         """Yield (start, stop, rows, amplitudes, weights) along the grid.
@@ -157,11 +153,8 @@ class FockEvolver:
                 f"z = {z_values[-1]:g}; with {nonzeros} nonzeros that exceeds the "
                 f"work cap {_WORK_CAP:.0e}"
             )
-        if (low, top) not in self._steps:
-            self._steps[low, top] = _ChebyshevStep(
-                build_sector_hamiltonian(self.spec, self.basis, low, top),
-                self._center, radius)
-        step = self._steps[low, top]
+        step = _ChebyshevStep(build_sector_hamiltonian(self.spec, self.basis, low, top),
+                              self._center, radius)
         vector = state.amplitudes[start:stop]
         norm = np.linalg.norm(vector)
         rows_cap = max(1, min(_BLOCK_AMPLITUDES // dim, _BLOCK_AMPLITUDES // (_MAX_DEGREE + 1)))
@@ -331,36 +324,12 @@ def _bessel_coefficients(x: np.ndarray, degree: int) -> np.ndarray:
 _MAX_DEGREE = _degree(_MAX_SPAN)
 
 
-def fidelity(target: FockState, evolved: FockState) -> float:
-    """Modulus of the amplitude overlap |<target|evolved>|."""
-    if not target.basis.same_shape(evolved.basis):
-        raise ValueError("states live in different bases")
-    return float(abs(np.vdot(target.amplitudes, evolved.amplitudes)))
-
-
 def mirror_state(state: FockState) -> FockState:
     """State with all occupation vectors reversed (mode j -> N - 1 - j)."""
     basis = state.basis
     amps = np.zeros(basis.size, dtype=complex)
     amps[basis.rank(basis.occupations[:, ::-1])] = state.amplitudes
     return FockState(basis, amps, tail_mass=state.tail_mass)
-
-
-def expectation_n(state: FockState, j: int) -> float:
-    """Mean photon number of mode j."""
-    if not 0 <= j < state.basis.num_modes:
-        raise ValueError(f"mode {j} out of range")
-    weights, block = _occupied_weights(state)
-    return float((weights @ block)[j])
-
-
-def expectation_g2(state: FockState, p: int, q: int) -> float:
-    """Two-point correlation <n_p n_q>; number operators are diagonal here."""
-    basis = state.basis
-    if not (0 <= p < basis.num_modes and 0 <= q < basis.num_modes):
-        raise ValueError(f"indices ({p}, {q}) out of range")
-    weights, block = _occupied_weights(state)
-    return float((weights @ (block[:, [p]] * block[:, [q]]))[0])
 
 
 def _occupied_sectors(state: FockState) -> tuple[int, int]:
@@ -371,17 +340,6 @@ def _occupied_sectors(state: FockState) -> tuple[int, int]:
         return 0, -1
     low, top = state.basis.occupations[support[[0, -1]]].sum(axis=1)
     return int(low), int(top)
-
-
-def _occupied_weights(state: FockState) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilities and occupations over the occupied sector range, which
-    FockEvolver.sweep contracts the same way, so the expectations agree bit
-    for bit with a one-point sweep (of the one pair, for expectation_g2)."""
-    low, top = _occupied_sectors(state)
-    if top < low:
-        return np.zeros(0), state.basis.occupations[:0]
-    start, stop = state.basis.sector(low)[0], state.basis.sector(top)[1]
-    return _probabilities(state.amplitudes[start:stop]), state.basis.occupations[start:stop]
 
 
 def _probabilities(amplitudes: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Spectrum, TransferMatrix
+from .spectral import Spectrum, transfer_matrix
 from .states import MomentSet
 
 __all__ = [
@@ -71,29 +71,31 @@ def check_sweep(z_grid, pairs, num_modes: int):
     return z_values, pair_list
 
 
-def mean_photons(U: TransferMatrix, m: MomentSet) -> np.ndarray:
-    """Mean photon number per waveguide after propagation through U."""
-    if U.size != m.num_modes:
+def mean_photons(U: np.ndarray, m: MomentSet) -> np.ndarray:
+    """Mean photon number per waveguide after propagation through the N x N
+    transfer matrix U."""
+    if U.shape != m.second.shape:
         raise ValueError("transfer matrix and moments have different mode counts")
-    values = np.einsum("pk,kl,pl->p", U.entries.conj(), m.second, U.entries)
+    values = np.einsum("pk,kl,pl->p", U.conj(), m.second, U)
     _check_real(values, "mean photon numbers acquired imaginary part {:.3e}")
     return values.real.copy()
 
 
-def g2(U: TransferMatrix, m: MomentSet, p: int, q: int) -> float:
+def g2(U: np.ndarray, m: MomentSet, p: int, q: int) -> float:
     """Two-point photon-number correlation <n_p(z) n_q(z)>.
 
     The normally-ordered part contracts the fourth moments with rows p and
-    q of U; for p == q the bosonic commutator adds <n_p(z)> on top.
+    q of the N x N transfer matrix U; for p == q the bosonic commutator adds
+    <n_p(z)> on top.
     """
-    N = U.size
-    if N != m.num_modes:
+    if U.shape != m.second.shape:
         raise ValueError("transfer matrix and moments have different mode counts")
+    N = m.num_modes
     if not (0 <= p < N and 0 <= q < N):
         raise ValueError(f"indices ({p}, {q}) out of range for {N} modes")
     a, b = sorted((int(p), int(q)))
-    row_a = U.entries[a]
-    row_b = U.entries[b]
+    row_a = U[a]
+    row_b = U[b]
     value = complex(
         np.einsum(
             "j,k,l,m,jklm->",
@@ -137,9 +139,7 @@ def trace_observables(
     z_values, pair_list = check_sweep(z_grid, pairs, N)
     a, b = np.sort(np.array(pair_list, dtype=np.int64).reshape(-1, 2), axis=1).T
 
-    V = spectrum.eigenvectors
-    phases = np.exp(-1j * np.multiply.outer(z_values, spectrum.eigenvalues))
-    U = (V.T * phases[:, None, :]) @ V
+    U = transfer_matrix(spectrum, z_values)
     # <n_p> = sum_kl conj(U[p, k]) second[k, l] U[p, l]
     means = np.sum((U.conj() @ m.second) * U, axis=-1)
     _check_real(means, "mean photon numbers acquired imaginary part {:.3e}")

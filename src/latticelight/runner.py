@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,9 +72,9 @@ class RunConfig:
     spec: LatticeSpec
     state: FockState
     z_values: np.ndarray
-    pairs: list[tuple[int, int]] = field(default_factory=list)
-    fidelity_targets: list[str] = field(default_factory=list)
-    engine: str = "both"
+    pairs: list[tuple[int, int]]
+    fidelity_targets: list[str]
+    engine: str
 
 
 def load_config(path: str) -> dict:

@@ -1,5 +1,5 @@
 """Eigen-decomposition of the tridiagonal coupling matrix and the
-single-excitation transfer matrix U(z) = V^T exp(-i Lambda z) V.
+single-excitation transfer matrices U(z) = V^T exp(-i Lambda z) V.
 
 The coupling matrix of a nearest-neighbor chain is a real symmetric Jacobi
 matrix.  Its eigenvectors are orthogonal-polynomial values,
@@ -14,7 +14,6 @@ that need no eigensolver.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,6 @@ from .lattice import LatticeSpec
 
 __all__ = [
     "Spectrum",
-    "TransferMatrix",
     "jacobi_matrix",
     "eigendecompose",
     "transfer_matrix",
@@ -56,27 +54,6 @@ class Spectrum:
     @property
     def size(self) -> int:
         return self.eigenvalues.size
-
-
-@dataclass(frozen=True, eq=False)
-class TransferMatrix:
-    """Unitary single-excitation propagator over distance z."""
-
-    z: float
-    entries: np.ndarray
-
-    def __post_init__(self):
-        if not (math.isfinite(self.z) and self.z >= 0):
-            raise ValueError("propagation distance z must be finite and >= 0")
-        entries = np.asarray(self.entries, dtype=complex)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError("transfer matrix must be square")
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
 
 
 def jacobi_matrix(spec: LatticeSpec) -> np.ndarray:
@@ -115,11 +92,15 @@ def eigendecompose(spec: LatticeSpec) -> Spectrum:
     return Spectrum(eigenvalues[order], vectors[order])
 
 
-def transfer_matrix(spectrum: Spectrum, z: float) -> TransferMatrix:
-    """U(z) = V^T diag(exp(-i lambda_k z)) V."""
-    if not math.isfinite(z):
-        raise ValueError("propagation distance z must be finite")
-    phases = np.exp(-1j * spectrum.eigenvalues * z)
+def transfer_matrix(spectrum: Spectrum, z) -> np.ndarray:
+    """U(z) = V^T diag(exp(-i lambda_k z)) V for every distance in ``z``.
+
+    Returns an array of shape ``z.shape + (N, N)``: one matrix for a scalar
+    z, a [Z, N, N] stack for a grid.
+    """
+    z = np.asarray(z, dtype=float)
+    if not np.all(np.isfinite(z) & (z >= 0)):
+        raise ValueError("propagation distance z must be finite and >= 0")
     V = spectrum.eigenvectors
-    entries = V.T @ (phases[:, None] * V)
-    return TransferMatrix(z=float(z), entries=entries)
+    phases = np.exp(-1j * np.multiply.outer(z, spectrum.eigenvalues))
+    return (V.T * phases[..., None, :]) @ V

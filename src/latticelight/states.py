@@ -121,15 +121,6 @@ class FockBasis:
             self.num_modes == other.num_modes and self.max_total == other.max_total
         )
 
-    def apply_annihilation(self, amplitudes: np.ndarray, mode: int) -> np.ndarray:
-        """Amplitudes of a_mode |psi> in this same basis."""
-        if not 0 <= mode < self.num_modes:
-            raise ValueError(f"mode {mode} out of range")
-        up = self._up[mode]
-        out = np.zeros(self.size, dtype=complex)
-        out[:up.size] = np.sqrt(self.occupations[:up.size, mode] + 1.0) * amplitudes[up]
-        return out
-
 
 def _compositions(parts: int, max_total: int) -> np.ndarray:
     """Compositions of each total n <= max_total into ``parts`` parts, by

@@ -41,19 +41,19 @@ def test_criterion_1_coupler_single_photon():
 
 
 def test_criterion_2_uniform_chain_cosine_spectrum():
-    # eight-site uniform chain eigenvalues match 2 cos(k pi / 9) within 1e-10
+    # eight-site uniform chain eigenvalues match 2 cos(k pi / 9) within 1e-12
     report("2", check_chebyshev_spectrum())
 
 
 def test_criterion_3_square_root_chain_hermite_spectrum():
     # chains of size 4, 5, 6 match independently bisected Hermite zeros
-    # (scaled by sqrt(2)) within 1e-8
+    # (scaled by sqrt(2)) within 1e-11
     report("3", check_hermite_spectrum())
 
 
 def test_criterion_4_perfect_transfer():
     # at z_t the photon sits in the last guide and both the single-photon
-    # and path-entangled inputs reach their mirror states within 1e-8
+    # and path-entangled inputs reach their mirror states within 1e-12
     report("4", check_perfect_transfer())
 
 
@@ -72,7 +72,7 @@ def test_criterion_6_engine_cross_equivalence():
 
 def test_criterion_7_conservation_and_unitarity():
     # 200 random chains: orthogonal eigenvectors (1e-12), residuals
-    # (1e-10 relative), unitary transfer (1e-12), conserved photon number
+    # (1e-12 relative), unitary transfer (1e-12), conserved photon number
     # (1e-10) and the composition law (1e-10)
     report("7", check_conservation_unitarity())
 

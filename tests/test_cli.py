@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import latticelight
 from latticelight.cli import main
 from latticelight.runner import (
     ConfigError,
@@ -351,3 +356,14 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert code == 1
         assert "FAIL  transfer-path-entangled-fidelity" in out
+
+    def test_writes_nothing_to_stderr(self):
+        # a fresh interpreter shows every warning on stderr, as a user sees it
+        src = str(Path(latticelight.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        done = subprocess.run([sys.executable, "-m", "latticelight", "verify"],
+                              capture_output=True, text=True, timeout=300,
+                              env=dict(os.environ, PYTHONPATH=path))
+        assert done.returncode == 0, done.stdout
+        assert done.stderr == ""
+        assert done.stdout.splitlines()[-1] == "all 29 checks passed"

@@ -7,7 +7,6 @@ import pytest
 
 from latticelight import (
     FockBasis,
-    FockEvolver,
     FockState,
     LatticeSpec,
     NumericalInconsistencyError,
@@ -15,19 +14,16 @@ from latticelight import (
     build_coherent,
     build_fock,
     build_path_entangled,
-    build_sector_hamiltonian,
     build_tmsv,
-    expectation_g2,
-    expectation_n,
-    fidelity,
-    jacobi_matrix,
     make_perfect_transfer,
     make_uniform,
-    mirror_state,
     propagate,
 )
 from latticelight import fockspace
+from latticelight.fockspace import FockEvolver, build_sector_hamiltonian, mirror_state
 from latticelight.runner import engine_gate
+from latticelight.spectral import jacobi_matrix
+from latticelight.states import moments_of
 
 R_HALF = float(np.arcsinh(2**-0.5))
 
@@ -130,9 +126,8 @@ class TestSectorHamiltonian:
 class TestEvolve:
     def test_vacuum_is_stationary(self, coupler, basis2):
         vacuum = build_fock(basis2, (0, 0))
-        evolver = FockEvolver(coupler, basis2)
-        for z in (0.0, 0.9, 4.2):
-            assert fidelity(vacuum, evolver.evolve(vacuum, z)) == pytest.approx(1.0, abs=1e-14)
+        trace = propagate(coupler, vacuum, [0.0, 0.9, 4.2], targets=["initial"], engine="fock")
+        assert trace.fid[:, 0] == pytest.approx(np.ones(3), abs=1e-14)
 
     def test_full_transfer_with_phase(self, coupler, basis2):
         # one photon crosses the coupler picking up a -i
@@ -146,9 +141,8 @@ class TestEvolve:
     def test_transfer_chain_moves_photon(self, basis4):
         spec = make_perfect_transfer(4, 1.0)
         state = build_fock(basis4, (1, 0, 0, 0))
-        evolved = FockEvolver(spec, basis4).evolve(state, 1.0)
-        target = build_fock(basis4, (0, 0, 0, 1))
-        assert fidelity(target, evolved) == pytest.approx(1.0, abs=1e-8)
+        trace = propagate(spec, state, [1.0], targets=["mirror"], engine="fock")
+        assert trace.fid[0, 0] == pytest.approx(1.0, abs=1e-8)
 
     def test_norm_preservation(self, basis4):
         spec = make_perfect_transfer(4, 1.0)
@@ -202,7 +196,6 @@ class TestEvolve:
         spec = make_perfect_transfer(4, 1.0)
         state = build_coherent(basis4, [1.0, 0.0, 0.0, 0.0])
         evolver = FockEvolver(spec, basis4)
-        evolver.sweep(state, [0.0, 1.0])  # assembles the cached hop arrays
         peaks = []
         for steps, stop in ((101, 1.0), (1001, 10.0)):
             tracemalloc.start()
@@ -217,36 +210,32 @@ class TestEvolve:
 
 
 class TestFidelity:
-    def test_identical_states(self, basis2):
+    def test_identical_states(self, coupler, basis2):
         state = build_path_entangled(basis2, 0, 1)
-        assert fidelity(state, state) == pytest.approx(1.0, abs=1e-15)
+        trace = propagate(coupler, state, [0.0], targets=["initial"], engine="fock")
+        assert trace.fid[0, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_path_entangled_is_stationary(self, coupler, basis2):
         state = build_path_entangled(basis2, 0, 1)
-        evolver = FockEvolver(coupler, basis2)
-        for z in np.linspace(0.0, 2.0 * math.pi, 41):
-            assert fidelity(state, evolver.evolve(state, z)) == pytest.approx(
-                1.0, abs=1e-10
-            )
+        grid = np.linspace(0.0, 2.0 * math.pi, 41)
+        fids = propagate(coupler, state, grid, targets=["initial"], engine="fock").fid[:, 0]
+        assert fids == pytest.approx(np.ones(41), abs=1e-10)
 
     def test_coherent_overlap_closed_form(self, coupler, basis2):
         # evolved amplitudes are (cos z, -i sin z); the coherent overlap is
         # exp(-(1 - cos z)) with minimum e^-2 at z = pi
         state = build_coherent(basis2, [1.0, 0.0])
-        evolver = FockEvolver(coupler, basis2)
         tol = 10.0 * state.tail_mass
-        for z in np.linspace(0.0, 2.0 * math.pi, 41):
-            expected = math.exp(-(1.0 - math.cos(z)))
-            assert fidelity(state, evolver.evolve(state, z)) == pytest.approx(
-                expected, abs=tol
-            )
-        at_pi = fidelity(state, evolver.evolve(state, math.pi))
-        assert at_pi == pytest.approx(math.exp(-2.0), abs=tol)
+        grid = np.linspace(0.0, 2.0 * math.pi, 41)  # grid[20] is pi
+        fids = propagate(coupler, state, grid, targets=["initial"], engine="fock").fid[:, 0]
+        assert fids == pytest.approx(np.exp(-(1.0 - np.cos(grid))), abs=tol)
+        assert fids[20] == pytest.approx(math.exp(-2.0), abs=tol)
 
-    def test_basis_mismatch(self, basis2):
+    def test_basis_mismatch(self, coupler, basis2):
         other = FockBasis(2, 5)
-        with pytest.raises(ValueError):
-            fidelity(build_fock(basis2, (1, 0)), build_fock(other, (1, 0)))
+        with pytest.raises(ValueError, match="basis"):
+            FockEvolver(coupler, basis2).sweep(build_fock(other, (1, 0)), [0.0],
+                                               targets=["initial"])
 
 
 class TestMirrorState:
@@ -282,49 +271,49 @@ class TestTwoPhotonInterference:
         state = build_fock(basis2, (1, 1))
         evolver = FockEvolver(coupler, basis2)
         at_dip = evolver.evolve(state, math.pi / 4.0)
-        assert expectation_g2(at_dip, 0, 1) == pytest.approx(0.0, abs=1e-12)
+        trace = evolver.sweep(state, [0.0, math.pi / 8.0, math.pi / 4.0], [(0, 1)])
+        assert trace.g2[-1, 0] == pytest.approx(0.0, abs=1e-12)
+        assert trace.means[:, 0] == pytest.approx(np.ones(3), abs=1e-12)
         assert abs(at_dip.amplitudes[basis2.index_of((1, 1))]) < 1e-12
         for occ in ((2, 0), (0, 2)):
             assert abs(at_dip.amplitudes[basis2.index_of(occ)]) == pytest.approx(
                 2**-0.5, abs=1e-12
             )
-        for z in (0.0, math.pi / 8.0, math.pi / 4.0):
-            evolved = evolver.evolve(state, z)
-            assert expectation_n(evolved, 0) == pytest.approx(1.0, abs=1e-12)
 
-    def test_tmsv_photon_numbers_are_perfectly_correlated(self, basis2):
+    def test_tmsv_photon_numbers_are_perfectly_correlated(self, coupler, basis2):
         # every pair component carries equal occupation in both modes, so
         # <n_0 n_1> equals <n_0^2> identically
         state = quiet_tmsv(basis2)
-        assert expectation_g2(state, 0, 1) == expectation_g2(state, 0, 0)
+        evolver = FockEvolver(coupler, basis2)
+        cross, square = (evolver.sweep(state, [0.0], [pair]).g2[0, 0]
+                         for pair in ((0, 1), (0, 0)))
+        assert cross == square
 
 
 class TestExpectations:
     def test_single_photon(self, basis2):
-        state = build_fock(basis2, (1, 0))
-        assert expectation_n(state, 0) == 1.0
-        assert expectation_n(state, 1) == 0.0
-        assert expectation_g2(state, 0, 1) == 0.0
+        # <n_0 n_1> is the normally-ordered <a_0^dag a_1^dag a_0 a_1>
+        moments = moments_of(build_fock(basis2, (1, 0)))
+        assert moments.second[0, 0] == 1.0
+        assert moments.second[1, 1] == 0.0
+        assert moments.fourth[0, 1, 0, 1] == 0.0
 
-    def test_tmsv_half_photon(self, basis2):
+    def test_tmsv_half_photon(self, coupler, basis2):
         state = quiet_tmsv(basis2)
         tol = 10.0 * state.tail_mass
-        assert expectation_n(state, 0) == pytest.approx(0.5, abs=tol)
-        assert expectation_n(state, 1) == pytest.approx(0.5, abs=tol)
+        means = propagate(coupler, state, [0.0], engine="fock").means[0]
+        assert means == pytest.approx([0.5, 0.5], abs=tol)
 
-    def test_index_validation(self, basis2):
+    def test_index_validation(self, coupler, basis2):
         state = build_fock(basis2, (1, 0))
-        with pytest.raises(ValueError):
-            expectation_n(state, 2)
-        with pytest.raises(ValueError):
-            expectation_g2(state, 0, 9)
+        evolver = FockEvolver(coupler, basis2)
+        with pytest.raises(ValueError, match="out of range"):
+            evolver.sweep(state, [0.0], [(2, 0)])
+        with pytest.raises(ValueError, match="out of range"):
+            evolver.sweep(state, [0.0], [(0, 9)])
 
     def test_uniform_chain_total_is_conserved(self, basis4):
         spec = make_uniform(4, 0.2, 0.9)
         state = build_coherent(basis4, [1.0, 0.0, 0.0, 0.0])
-        evolver = FockEvolver(spec, basis4)
-        total0 = sum(expectation_n(state, j) for j in range(4))
-        for z in (0.5, 1.4, 3.3):
-            evolved = evolver.evolve(state, z)
-            total = sum(expectation_n(evolved, j) for j in range(4))
-            assert total == pytest.approx(total0, abs=1e-10)
+        totals = propagate(spec, state, [0.0, 0.5, 1.4, 3.3], engine="fock").means.sum(axis=1)
+        assert totals == pytest.approx(np.full(4, totals[0]), abs=1e-10)

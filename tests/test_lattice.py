@@ -2,19 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from latticelight import (
     LatticeSpec,
-    eigendecompose,
     make_binary,
     make_glauber_fock,
     make_jacobi_semi_infinite,
     make_perfect_transfer,
     make_uniform,
 )
-from latticelight.verify import coupler_params, coupler_single_photon_oracle
+from latticelight.spectral import eigendecompose
 
 
 class TestLatticeSpec:
@@ -187,61 +184,3 @@ def test_generators_are_deterministic(generator):
     assert np.array_equal(first.omegas, second.omegas)
     assert np.array_equal(first.couplings, second.couplings)
 
-
-class TestCouplerParams:
-    def test_balanced_coupler(self):
-        p = coupler_params(0.0, 1.0)
-        assert p.Omega == pytest.approx(2.0, abs=1e-15)
-        assert p.gamma1 == pytest.approx(1.0, abs=1e-15)
-        assert p.gamma2 == pytest.approx(-1.0, abs=1e-15)
-        assert p.alpha == pytest.approx(2**-0.5, abs=1e-15)
-        assert p.beta == pytest.approx(2**-0.5, abs=1e-15)
-
-    def test_detuned_coupler(self):
-        # Omega = sqrt(9 + 16) = 5 by hand
-        p = coupler_params(3.0, 2.0)
-        assert p.Omega == pytest.approx(5.0, abs=1e-12)
-        assert p.gamma1 == pytest.approx(4.0, abs=1e-12)
-        assert p.gamma2 == pytest.approx(-1.0, abs=1e-12)
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        delta=st.floats(-5.0, 5.0, allow_nan=False),
-        g=st.floats(0.01, 5.0, allow_nan=False),
-    )
-    def test_invariants(self, delta, g):
-        p = coupler_params(delta, g)
-        assert p.Omega > 0
-        assert abs(p.alpha**2 + p.beta**2 - 1.0) < 1e-12
-        assert abs((p.gamma1 - p.gamma2) - p.Omega) < 1e-12
-        assert abs((p.gamma1 + p.gamma2) - p.delta) < 1e-12
-        assert abs(p.gamma1 * p.gamma2 + g * g) < 1e-12 * max(1.0, g * g)
-
-    @pytest.mark.parametrize("bad_g", [0.0, -1.0])
-    def test_rejects_non_positive_coupling(self, bad_g):
-        with pytest.raises(ValueError):
-            coupler_params(0.0, bad_g)
-
-
-class TestCouplerOracle:
-    def test_start_point(self):
-        p = coupler_params(0.0, 1.0)
-        assert coupler_single_photon_oracle(p, 0.0) == pytest.approx((1.0, 0.0, 1.0))
-
-    def test_full_transfer_point(self):
-        p = coupler_params(0.0, 1.0)
-        n1, n2, fid = coupler_single_photon_oracle(p, math.pi / 2.0)
-        assert n1 == pytest.approx(0.0, abs=1e-15)
-        assert n2 == pytest.approx(1.0, abs=1e-15)
-        assert fid == pytest.approx(0.0, abs=1e-15)
-
-    def test_half_transfer_point(self):
-        p = coupler_params(0.0, 1.0)
-        n1, n2, fid = coupler_single_photon_oracle(p, math.pi / 4.0)
-        assert n1 == pytest.approx(0.5, abs=1e-15)
-        assert n2 == pytest.approx(0.5, abs=1e-15)
-        assert fid == pytest.approx(2**-0.5, abs=1e-15)
-
-    def test_restricted_to_balanced_couplers(self):
-        with pytest.raises(ValueError):
-            coupler_single_photon_oracle(coupler_params(1.0, 1.0), 0.3)

@@ -8,42 +8,37 @@ from hypothesis import strategies as st
 
 from latticelight import (
     FockBasis,
-    FockEvolver,
     FockState,
     LatticeSpec,
     NumericalInconsistencyError,
     Trace,
     TruncationWarning,
     build_fock,
-    build_sector_hamiltonian,
     build_tmsv,
-    eigendecompose,
-    expectation_g2,
-    expectation_n,
-    fidelity,
-    mirror_state,
-    moments_of,
     propagate,
-    trace_observables,
 )
+from latticelight.fockspace import FockEvolver, build_sector_hamiltonian, mirror_state
+from latticelight.moments import trace_observables
 from latticelight.runner import engine_gate
+from latticelight.spectral import eigendecompose
+from latticelight.states import moments_of
 
 
 def reference_observables(spec, state, z_values, pairs, dense):
     """Means, correlations and (initial, mirror) fidelities from one
-    ``numpy.linalg.eigh`` of the full block-diagonal Hamiltonian, read per z
-    through the single-state observables."""
+    ``numpy.linalg.eigh`` of the full block-diagonal Hamiltonian, read with
+    plain numpy: probabilities times occupations, times products of two
+    occupation columns, and amplitude overlaps."""
     basis = state.basis
     vals, vecs = np.linalg.eigh(dense(build_sector_hamiltonian(spec, basis, 0, basis.max_total)))
     coefficients = vecs.T @ state.amplitudes
-    targets = (state, mirror_state(state))
-    means, g2, fid = [], [], []
-    for z in z_values:
-        evolved = FockState(basis, vecs @ (np.exp(-1j * vals * z) * coefficients))
-        means.append([expectation_n(evolved, j) for j in range(basis.num_modes)])
-        g2.append([expectation_g2(evolved, p, q) for p, q in pairs])
-        fid.append([fidelity(target, evolved) for target in targets])
-    return np.array(means), np.array(g2).reshape(len(z_values), len(pairs)), np.array(fid)
+    evolved = (np.exp(-1j * np.multiply.outer(z_values, vals)) * coefficients) @ vecs.T
+    probabilities = np.abs(evolved) ** 2
+    occupations = basis.occupations
+    products = np.column_stack([occupations[:, p] * occupations[:, q] for p, q in pairs])
+    fid = [[abs(np.vdot(target.amplitudes, psi)) for target in (state, mirror_state(state))]
+           for psi in evolved]
+    return probabilities @ occupations, probabilities @ products, np.array(fid)
 
 
 class TestFockSweep:
@@ -77,28 +72,13 @@ class TestFockSweep:
         state = build_fock(basis2, (2, 1))
         evolver = FockEvolver(coupler, basis2)
         trace = evolver.sweep(state, [0.8], [(0, 1)], ["initial"])
-        evolved = evolver.evolve(state, 0.8)
-        assert np.array_equal(trace.means[0], [expectation_n(evolved, j) for j in range(2)])
-        assert np.array_equal(trace.g2[0], [expectation_g2(evolved, 0, 1)])
-        assert trace.fid[0, 0] == pytest.approx(fidelity(state, evolved), abs=1e-15)
-
-    @pytest.mark.parametrize("N,n_max,low,top", [(2, 12, 3, 9), (4, 12, 0, 12), (4, 9, 2, 5),
-                                                 (5, 6, 6, 6)])
-    def test_expectations_are_one_point_sweeps_bit_for_bit(self, N, n_max, low, top):
-        basis = FockBasis(N, n_max)
-        rng = np.random.default_rng(N + n_max + low)
-        spec = LatticeSpec(rng.normal(size=N), rng.uniform(0.5, 1.5, N - 1))
-        start, stop = basis.sector(low)[0], basis.sector(top)[1]
-        amplitudes = np.zeros(basis.size, dtype=complex)
-        amplitudes[start:stop] = [1.0, 1j] @ rng.normal(size=(2, stop - start))
-        state = FockState(basis, amplitudes / np.linalg.norm(amplitudes))
-        evolver = FockEvolver(spec, basis)
-        evolved = evolver.evolve(state, 0.9)
-        for p in range(N):
-            for q in range(N):
-                trace = evolver.sweep(state, [0.9], [(p, q)])
-                assert trace.g2[0, 0] == expectation_g2(evolved, p, q)
-        assert np.array_equal(trace.means[0], [expectation_n(evolved, j) for j in range(N)])
+        evolved = evolver.evolve(state, 0.8).amplitudes
+        probabilities = np.abs(evolved) ** 2
+        occupations = basis2.occupations
+        assert np.max(np.abs(trace.means[0] - probabilities @ occupations)) <= 1e-15
+        products = occupations[:, 0] * occupations[:, 1]
+        assert abs(trace.g2[0, 0] - probabilities @ products) <= 1e-15
+        assert trace.fid[0, 0] == pytest.approx(abs(np.vdot(state.amplitudes, evolved)), abs=1e-15)
 
 
 class TestPropagate:

@@ -1,18 +1,37 @@
-"""The library example in README.md runs as documented."""
+"""The library example in README.md runs as documented, and the package
+exports what it documents."""
 
+import importlib
+import pkgutil
 import re
 import warnings
 from pathlib import Path
 
+import latticelight
 from latticelight import TruncationWarning
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
+EXPORTED = {
+    "LatticeSpec", "make_binary", "make_glauber_fock", "make_jacobi_semi_infinite",
+    "make_perfect_transfer", "make_uniform", "FockBasis", "FockState", "build_coherent",
+    "build_fock", "build_path_entangled", "build_tmsv", "TruncationWarning", "propagate",
+    "Trace", "NumericalInconsistencyError", "__version__",
+}
+
+
+def library_section() -> str:
+    text = README.read_text(encoding="utf-8")
+    return text[text.index("## Library use"):]
+
+
+def library_example() -> str:
+    return re.search(r"```python\n(.*?)```", library_section(), re.S).group(1)
+
 
 def test_library_example_runs(capsys):
-    text = README.read_text(encoding="utf-8")
-    section = text[text.index("## Library use"):]
-    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    section = library_section()
+    code = library_example()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         exec(compile(code, str(README), "exec"), {})
@@ -22,3 +41,17 @@ def test_library_example_runs(capsys):
     # the untruncated <n_0 n_1> is 1; n_max = 12 keeps about 97 % of it
     assert 0.95 < float(correlation) < 1.0
     assert 0.0 < float(mirror) < 1.0 - 1e-3
+
+
+def test_public_surface():
+    assert len(latticelight.__all__) == len(EXPORTED) == 17
+    assert set(latticelight.__all__) == EXPORTED
+    assert all(f"`{name}`" in library_section() for name in EXPORTED)
+    imported = re.search(r"from latticelight import ([^\n]+)", library_example()).group(1)
+    assert {name.strip() for name in imported.split(",")} <= EXPORTED
+    # every listed name resolves, in the package and in each of its modules
+    modules = [latticelight] + [importlib.import_module(f"latticelight.{info.name}")
+                                for info in pkgutil.iter_modules(latticelight.__path__)]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.__all__ lists {name}"
