@@ -309,7 +309,9 @@ def _bessel_coefficients(x: np.ndarray, degree: int) -> np.ndarray:
     carries both parts; it is even in t, and its samples at t = pi m / L
     (m = 0 .. L) give the coefficients by one inverse real FFT.  With
     L > degree, the aliased terms have index above the degree and lie
-    below the tail bound.
+    below the tail bound.  At x = 0 the FFT leaves rounding residues
+    (b_0 = sqrt(2) cos(pi / 4) = 1 + 2e-16), so those rows are set to
+    J_k(0) = delta_k0 exactly.
     """
     L = degree + 1
     t = np.pi * np.arange(L + 1) / L
@@ -318,7 +320,9 @@ def _bessel_coefficients(x: np.ndarray, degree: int) -> np.ndarray:
     # c_k = parts[k] for even k and i parts[k] for odd k; recover J_k's sign
     signs = np.array([2.0, -2.0, -2.0, 2.0])[np.arange(L) % 4]
     signs[0] = 1.0
-    return parts * signs
+    coefficients = parts * signs
+    coefficients[x == 0] = np.eye(1, L)
+    return coefficients
 
 
 _MAX_DEGREE = _degree(_MAX_SPAN)

@@ -28,10 +28,12 @@ from .spectral import eigendecompose
 from .states import (
     FockBasis,
     FockState,
+    MomentSet,
     build_coherent,
     build_fock,
     build_path_entangled,
     build_tmsv,
+    coherent_moments,
     moments_of,
 )
 
@@ -70,7 +72,7 @@ class RunConfig:
     """Fully validated run configuration with all objects built."""
 
     spec: LatticeSpec
-    state: FockState
+    state: FockState | MomentSet
     z_values: np.ndarray
     pairs: list[tuple[int, int]]
     fidelity_targets: list[str]
@@ -185,7 +187,7 @@ def parse_config(raw: dict) -> RunConfig:
             "use engine 'fock' or 'both'"
         )
 
-    state = _build_state(raw.get("state"), FockBasis(N, n_max))
+    state = _build_state(raw.get("state"), N, n_max, engine)
     return RunConfig(spec, state, z_values, pairs, targets, engine)
 
 
@@ -217,12 +219,14 @@ def run_propagate(raw: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def propagate(spec: LatticeSpec, state: FockState, z, pairs=(), targets=(),
+def propagate(spec: LatticeSpec, state: FockState | MomentSet, z, pairs=(), targets=(),
               engine: str = "both") -> Trace:
     """Observables of ``state`` along the grid ``z`` through one or both engines.
 
     ``pairs`` selects the correlations <n_p n_q> and ``targets`` the
     fidelities ('initial' or 'mirror'), which only the Fock engine computes.
+    A ``MomentSet`` state, as ``coherent_moments`` returns, holds no Fock
+    amplitudes, so it runs on engine 'moments' only.
     With engine 'both' the Fock trace is returned once the moments engine
     has confirmed it within the tolerance of ``engine_gate``.  The Fock
     engine runs first, so a sweep over its work cap is refused before any
@@ -232,6 +236,10 @@ def propagate(spec: LatticeSpec, state: FockState, z, pairs=(), targets=(),
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
     if targets and engine == "moments":
         raise ValueError("fidelities need the Fock engine; use engine 'fock' or 'both'")
+    if isinstance(state, MomentSet):
+        if engine != "moments":
+            raise ValueError("a MomentSet runs on the moments engine only; use engine 'moments'")
+        return trace_observables(eigendecompose(spec), state, z, pairs)
     if engine != "moments":
         fock = FockEvolver(spec, state.basis).sweep(state, z, pairs, targets)
         if engine == "fock":
@@ -257,7 +265,9 @@ def engine_gate(first: Trace, second: Trace, state: FockState) -> tuple[float, f
     return float(np.max(gaps, initial=0.0)), max(1e-8, 10.0 * state.tail_mass)
 
 
-def _build_state(section, basis: FockBasis) -> FockState:
+def _build_state(section, N: int, n_max: int, engine: str) -> FockState | MomentSet:
+    """The configured state in ``FockBasis(N, n_max)``; coherent input on the
+    moments engine alone takes its moments in closed form and builds no basis."""
     if not isinstance(section, dict):
         raise ConfigError("state: must be an object with a 'kind' field")
     kind = section.get("kind")
@@ -271,11 +281,11 @@ def _build_state(section, basis: FockBasis) -> FockState:
                 raise ConfigError(
                     "state.occupation: must be a list of non-negative integers"
                 )
-            if sum(occupation) > basis.max_total:
+            if sum(occupation) > n_max:
                 raise ConfigError(
                     "state.occupation: total photon number exceeds n_max"
                 )
-            return build_fock(basis, occupation)
+            return build_fock(FockBasis(N, n_max), occupation)
         if kind == "coherent":
             raw_alphas = section.get("alphas")
             if not isinstance(raw_alphas, list):
@@ -284,16 +294,20 @@ def _build_state(section, basis: FockBasis) -> FockState:
                 _complex_number(a, f"state.alphas[{i}]")
                 for i, a in enumerate(raw_alphas)
             ]
-            return build_coherent(basis, alphas)
+            if len(alphas) != N:
+                raise ConfigError("state: need one coherent amplitude per mode")
+            if engine == "moments":
+                return coherent_moments(alphas, n_max)
+            return build_coherent(FockBasis(N, n_max), alphas)
         if kind == "path_entangled":
-            mode_a, mode_b = _mode_pair(section, basis)
-            return build_path_entangled(basis, mode_a, mode_b)
+            mode_a, mode_b = _mode_pair(section, N)
+            return build_path_entangled(FockBasis(N, n_max), mode_a, mode_b)
         if kind == "tmsv":
-            mode_a, mode_b = _mode_pair(section, basis)
+            mode_a, mode_b = _mode_pair(section, N)
             r = _number(section.get("r"), "state.r")
             if r < 0:
                 raise ConfigError("state.r: must be non-negative")
-            return build_tmsv(basis, mode_a, mode_b, r)
+            return build_tmsv(FockBasis(N, n_max), mode_a, mode_b, r)
     except ConfigError:
         raise
     except ValueError as err:
@@ -303,14 +317,14 @@ def _build_state(section, basis: FockBasis) -> FockState:
     )
 
 
-def _mode_pair(section, basis) -> tuple[int, int]:
+def _mode_pair(section, N: int) -> tuple[int, int]:
     modes = []
     for name in ("mode_a", "mode_b"):
         value = section.get(name)
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"state.{name}: must be an integer mode index")
-        if not 0 <= value < basis.num_modes:
-            raise ConfigError(f"state.{name}: out of range for N={basis.num_modes}")
+        if not 0 <= value < N:
+            raise ConfigError(f"state.{name}: out of range for N={N}")
         modes.append(value)
     if modes[0] == modes[1]:
         raise ConfigError("state: mode_a and mode_b must differ")

@@ -22,6 +22,7 @@ __all__ = [
     "MomentSet",
     "build_fock",
     "build_coherent",
+    "coherent_moments",
     "build_path_entangled",
     "build_tmsv",
     "moments_of",
@@ -209,11 +210,7 @@ def build_coherent(basis: FockBasis, alphas, tail_bound: float = 1e-8) -> FockSt
         A TruncationWarning is emitted when the discarded probability
         exceeds this bound.
     """
-    alphas = np.asarray(alphas, dtype=complex)
-    if alphas.shape != (basis.num_modes,):
-        raise ValueError("need one coherent amplitude per mode")
-    if not np.all(np.isfinite(alphas)):
-        raise ValueError("coherent amplitudes must be finite")
+    alphas, _, tail = _coherent_law(alphas, basis.num_modes, basis.max_total, tail_bound)
     # coef[j, n] = exp(-|alpha_j|^2 / 2) alpha_j^n / sqrt(n!)
     n_values = np.arange(basis.max_total + 1)
     log_fact = np.cumsum(np.log(np.maximum(n_values, 1)))
@@ -222,7 +219,28 @@ def build_coherent(basis: FockBasis, alphas, tail_bound: float = 1e-8) -> FockSt
         prefactor = math.exp(-0.5 * abs(alpha) ** 2)
         coef[j] = prefactor * alpha**n_values / np.exp(0.5 * log_fact)
     amps = np.prod(coef[np.arange(basis.num_modes), basis.occupations], axis=1)
-    return _truncate_and_normalize(basis, amps, tail_bound)
+    return _normalized(basis, amps, tail)
+
+
+def coherent_moments(alphas, max_total: int, tail_bound: float = 1e-8) -> MomentSet:
+    """Exact moments of ``build_coherent(FockBasis(len(alphas), max_total),
+    alphas)``, in closed form and without a basis.
+
+    The total photon number of the untruncated product state is Poisson with
+    mean mu = sum |alpha_j|^2, and the truncated state keeps its law on
+    totals up to M = ``max_total``.  On totals up to M - k it still obeys
+    a_l a_m psi = alpha_l alpha_m psi, so with P the Poisson CDF (and P(-1) =
+    P(-2) = 0):
+    <a_j^dag a_k> = conj(alpha_j) alpha_k P(M - 1) / P(M) and
+    <a_j^dag a_k^dag a_l a_m> = conj(alpha_j alpha_k) alpha_l alpha_m
+    P(M - 2) / P(M).  Both are plain outer products, Hermitian to rounding.
+    The input is validated, and a TruncationWarning emitted, exactly as
+    ``build_coherent`` does.
+    """
+    alphas, law, _ = _coherent_law(alphas, np.size(alphas), max_total, tail_bound)
+    pairs = np.multiply.outer(alphas, alphas)
+    return MomentSet(law[:max_total].sum() * np.multiply.outer(alphas.conj(), alphas),
+                     law[:max(max_total - 1, 0)].sum() * np.multiply.outer(pairs.conj(), pairs))
 
 
 def build_path_entangled(basis: FockBasis, mode_a: int, mode_b: int) -> FockState:
@@ -254,7 +272,10 @@ def build_tmsv(
         occ[mode_a] = j
         occ[mode_b] = j
         amps[basis.index_of(occ)] = tanh_r**j / math.cosh(r)
-    return _truncate_and_normalize(basis, amps, tail_bound)
+    # the pair count is geometric, P(j) = (1 - t) t^j with t = tanh(r)^2
+    tail = tanh_r ** (2 * (basis.max_total // 2 + 1))
+    _warn_truncation(tail, tail_bound)
+    return _normalized(basis, amps, tail)
 
 
 def moments_of(state: FockState) -> MomentSet:
@@ -326,18 +347,63 @@ def analytic_moments_tmsv(r: float, mode_a: int, mode_b: int, N: int) -> MomentS
     return MomentSet(second, fourth)
 
 
-def _truncate_and_normalize(basis, amps, tail_bound) -> FockState:
-    kept = float(np.sum(np.abs(amps) ** 2))
-    if not kept > 0:
+def _coherent_law(alphas, num_modes: int, max_total: int, tail_bound: float):
+    """Validated amplitudes of a product coherent state truncated to
+    ``max_total`` photons, its photon-number law and its discarded mass.
+
+    The untruncated total is Poisson with mean mu = sum |alpha_j|^2, with
+    terms p_n = exp(-mu) mu^n / n!.  Past n = 2 mu each term is below half
+    the one before, so the terms more than 64 further on are dropped as
+    rounding.  Returns (alphas, law, tail): law[n] = p_n / P(max_total),
+    with P the Poisson CDF, for n up to max_total or that cut, whichever
+    comes first; tail = sum_{n > max_total} p_n, summed term by term rather
+    than taken as 1 - P(max_total), which cancels.  Emits a
+    TruncationWarning when the tail exceeds ``tail_bound``.
+    """
+    if num_modes < 1:
+        raise ValueError("need at least one mode")
+    if max_total < 0:
+        raise ValueError("max_total must be non-negative")
+    alphas = np.asarray(alphas, dtype=complex)
+    if alphas.shape != (num_modes,):
+        raise ValueError("need one coherent amplitude per mode")
+    if not np.all(np.isfinite(alphas)):
+        raise ValueError("coherent amplitudes must be finite")
+    mu = float(np.vdot(alphas, alphas).real)
+    if not math.isfinite(mu):
         raise ValueError("state has no support inside the truncated basis")
-    tail = max(0.0, 1.0 - kept)
+
+    def log_terms(first: int, last: float) -> np.ndarray:
+        n = np.arange(first, int(last) + 1)
+        if mu == 0:
+            return np.where(n == 0, 0.0, -np.inf)
+        return n * math.log(mu) - mu - np.array([math.lgamma(k + 1.0) for k in n.tolist()])
+
+    head = log_terms(0, min(max_total, 2.0 * mu + 64.0))
+    if not np.sum(np.exp(head)) > 0:
+        raise ValueError("state has no support inside the truncated basis")
+    tail = math.fsum(np.exp(log_terms(max_total + 1, max(max_total, 2.0 * mu + 1.0) + 64.0)))
+    _warn_truncation(tail, tail_bound, stacklevel=4)
+    # scaled by the largest term, so the law survives an underflowing P
+    law = np.exp(head - np.max(head))
+    return alphas, law / np.sum(law), tail
+
+
+def _warn_truncation(tail: float, tail_bound: float, stacklevel: int = 3) -> None:
+    """Warn, at the caller of the state builder, of a tail above its bound."""
     if tail > tail_bound:
         warnings.warn(
             f"truncation discarded probability {tail:.3e} "
             f"(bound {tail_bound:.1e}); consider a larger max_total",
             TruncationWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
+
+
+def _normalized(basis, amps, tail) -> FockState:
+    kept = float(np.sum(np.abs(amps) ** 2))
+    if not kept > 0:
+        raise ValueError("state has no support inside the truncated basis")
     return FockState(basis, amps / math.sqrt(kept), tail_mass=tail)
 
 

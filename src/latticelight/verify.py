@@ -40,6 +40,8 @@ from .states import (
     build_fock,
     build_path_entangled,
     build_tmsv,
+    coherent_moments,
+    moments_of,
 )
 
 __all__ = ["CheckResult", "hermite_zeros", "run_acceptance", "format_report", "R_HALF_PHOTON"]
@@ -119,6 +121,7 @@ def run_acceptance(fault: str | None = None) -> list[CheckResult]:
     results.extend(check_engine_equivalence())
     results.extend(check_conservation_unitarity())
     results.append(check_tmsv_zero_distance())
+    results.append(check_coherent_moments())
     results.extend(check_stationary_states())
     results.append(check_determinism())
     return results
@@ -351,6 +354,17 @@ def check_tmsv_zero_distance() -> CheckResult:
     )
     tol = max(1e-8, 10.0 * state.tail_mass)
     return _result("tmsv-zero-distance-correlation", error, tol)
+
+
+def check_coherent_moments() -> CheckResult:
+    """Closed-form moments of a truncated coherent state against the ladder
+    action on its Fock amplitudes."""
+    alphas = [1.0, 0.5j, -0.3, 0.2 + 0.1j]
+    closed = coherent_moments(alphas, 12)
+    ladder = moments_of(build_coherent(FockBasis(4, 12), alphas))
+    error = max(np.max(np.abs(closed.second - ladder.second)),
+                np.max(np.abs(closed.fourth - ladder.fourth)))
+    return _result("coherent-moments-closed-form", error, 1e-13)
 
 
 def check_stationary_states() -> list[CheckResult]:

@@ -9,6 +9,7 @@ import pytest
 
 from latticelight.verify import (
     check_chebyshev_spectrum,
+    check_coherent_moments,
     check_conservation_unitarity,
     check_coupler_single_photon,
     check_determinism,
@@ -91,3 +92,9 @@ def test_criterion_9_stationary_states():
 def test_criterion_10_deterministic_output():
     # the same propagation configuration renders byte-identical CSV twice
     report("10", check_determinism())
+
+
+def test_criterion_11_coherent_moments_closed_form():
+    # closed-form truncated coherent moments match the ladder action on the
+    # Fock amplitudes of the same state
+    report("11", check_coherent_moments())

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import latticelight
+from latticelight import runner
 from latticelight.cli import main
 from latticelight.runner import (
     ConfigError,
@@ -110,6 +111,15 @@ class TestConfigParsing:
         cfg["state"] = {"kind": "coherent", "alphas": [[0.0, 1.0], 0.5]}
         parsed = parse_config(cfg)
         assert parsed.state.norm() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("engine", ["moments", "both"])
+    def test_one_coherent_amplitude_per_waveguide(self, engine):
+        cfg = small_coupler_config()
+        cfg["state"] = {"kind": "coherent", "alphas": [0.5, 0.1, 0.2]}
+        cfg["engine"] = engine
+        cfg.pop("fidelity_targets")
+        with pytest.raises(ConfigError, match="one coherent amplitude per mode"):
+            parse_config(cfg)
 
     def test_json_error_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -342,6 +352,35 @@ class TestPropagateCommand:
         assert _csv_rows(table)[0].startswith("0,0,4.94065645841e-324,")
 
 
+class TestMomentsOnlyCoherentRun:
+    """Coherent input on the moments engine alone takes its moments in
+    closed form: the run builds no Fock basis, so it reaches chains whose
+    basis could never be stored."""
+
+    def config(self, N, engine):
+        return {
+            "lattice": {"family": "uniform", "N": N, "omega": 0.0, "g": 1.0},
+            "state": {"kind": "coherent", "alphas": [0.6, [0.0, 0.5]] + [0.0] * (N - 2)},
+            "z_grid": {"start": 0.0, "stop": 2.0, "steps": 11},
+            "n_max": 12,
+            "pairs": [[0, 0], [0, 1], [1, N - 1]],
+            "engine": engine,
+        }
+
+    def test_builds_no_basis(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("FockBasis built")
+
+        monkeypatch.setattr(runner, "FockBasis", refuse)
+        out_path = tmp_path / "trace.csv"
+        argv = ["propagate", "--out", str(out_path), "--config"]
+        assert main(argv + [write_config(tmp_path, self.config(32, "moments"))]) == 0
+        assert len(out_path.read_text(encoding="utf-8").splitlines()) == 2 + 11
+        # the Fock engine does need the basis, so the patch is in effect
+        assert main(argv + [write_config(tmp_path, self.config(4, "both"))]) == 1
+        assert "FockBasis built" in capsys.readouterr().err
+
+
 class TestVerifyCommand:
     def test_fresh_build_passes(self, capsys):
         code = main(["verify"])
@@ -366,4 +405,4 @@ class TestVerifyCommand:
                               env=dict(os.environ, PYTHONPATH=path))
         assert done.returncode == 0, done.stdout
         assert done.stderr == ""
-        assert done.stdout.splitlines()[-1] == "all 29 checks passed"
+        assert done.stdout.splitlines()[-1] == "all 30 checks passed"

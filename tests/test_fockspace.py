@@ -23,7 +23,6 @@ from latticelight import fockspace
 from latticelight.fockspace import FockEvolver, build_sector_hamiltonian, mirror_state
 from latticelight.runner import engine_gate
 from latticelight.spectral import jacobi_matrix
-from latticelight.states import moments_of
 
 R_HALF = float(np.arcsinh(2**-0.5))
 
@@ -291,12 +290,19 @@ class TestTwoPhotonInterference:
 
 
 class TestExpectations:
-    def test_single_photon(self, basis2):
-        # <n_0 n_1> is the normally-ordered <a_0^dag a_1^dag a_0 a_1>
-        moments = moments_of(build_fock(basis2, (1, 0)))
-        assert moments.second[0, 0] == 1.0
-        assert moments.second[1, 1] == 0.0
-        assert moments.fourth[0, 1, 0, 1] == 0.0
+    def test_single_photon(self, coupler, basis2):
+        # a z = 0 sweep reads the input exactly: J_k(0) = delta_k0
+        state = build_fock(basis2, (1, 0))
+        trace = propagate(coupler, state, [0.0], [(0, 1)], ["initial"], engine="fock")
+        assert trace.means[0, 0] == 1.0
+        assert trace.means[0, 1] == 0.0
+        assert trace.g2[0, 0] == 0.0
+        assert trace.fid[0, 0] == 1.0
+
+    def test_zero_distance_evolution_is_the_identity(self, coupler, basis2):
+        state = build_coherent(basis2, [0.8, 0.3j])
+        evolved = FockEvolver(coupler, basis2).evolve(state, 0.0)
+        assert np.array_equal(evolved.amplitudes, state.amplitudes)
 
     def test_tmsv_half_photon(self, coupler, basis2):
         state = quiet_tmsv(basis2)

@@ -15,13 +15,14 @@ from latticelight import (
     TruncationWarning,
     build_fock,
     build_tmsv,
+    make_uniform,
     propagate,
 )
 from latticelight.fockspace import FockEvolver, build_sector_hamiltonian, mirror_state
 from latticelight.moments import trace_observables
 from latticelight.runner import engine_gate
-from latticelight.spectral import eigendecompose
-from latticelight.states import moments_of
+from latticelight.spectral import eigendecompose, jacobi_matrix
+from latticelight.states import coherent_moments, moments_of
 
 
 def reference_observables(spec, state, z_values, pairs, dense):
@@ -132,6 +133,41 @@ class TestPropagate:
             FockEvolver(coupler, basis2).sweep(state, z_grid, pairs)
         messages.append(str(caught.value))
         assert len(set(messages)) == 1, messages
+
+
+class TestMomentSetInput:
+    @pytest.mark.parametrize("engine", ["fock", "both"])
+    def test_needs_the_moments_engine(self, coupler, engine):
+        moments = coherent_moments([0.5, 0.0], 12)
+        with pytest.raises(ValueError, match="moments engine only"):
+            propagate(coupler, moments, [0.0, 1.0], engine=engine)
+
+    def test_coherent_chain_beyond_any_basis(self):
+        # N = 32 at n_max = 12 would need C(44, 12) ~ 2.1e10 basis states.
+        # Truncated coherent light keeps <n_p> = r1 |beta_p|^2 and
+        # <n_p n_q> = r2 |beta_p|^2 |beta_q|^2 + delta_pq <n_p>, with
+        # beta = U alpha and r_k = P(M - k) / P(M) of the Poisson CDF P.
+        N, M = 32, 12
+        spec = make_uniform(N, 0.3, 1.0)
+        rng = np.random.default_rng(32)
+        alphas = 0.25 * (rng.standard_normal(N) + 1j * rng.standard_normal(N))
+        mu = float(np.vdot(alphas, alphas).real)
+        cdf = [math.fsum(math.exp(-mu) * mu**n / math.factorial(n) for n in range(K + 1))
+               for K in (M - 2, M - 1, M)]
+        r2, r1 = cdf[0] / cdf[2], cdf[1] / cdf[2]
+        z_values = np.linspace(0.0, 3.0, 7)
+        pairs = [(p, q) for p in range(0, N, 3) for q in range(p, N, 5)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            trace = propagate(spec, coherent_moments(alphas, M), z_values, pairs,
+                              engine="moments")
+        values, vectors = np.linalg.eigh(jacobi_matrix(spec))
+        U = (vectors * np.exp(-1j * np.multiply.outer(z_values, values))[:, None, :]) @ vectors.T
+        weights = np.abs(U @ alphas) ** 2
+        expected = np.stack([r2 * weights[:, p] * weights[:, q] + (p == q) * r1 * weights[:, p]
+                             for p, q in pairs], axis=1)
+        assert np.max(np.abs(trace.means - r1 * weights)) <= 1e-12
+        assert np.max(np.abs(trace.g2 - expected)) <= 1e-12
 
 
 class TestEngineGate:

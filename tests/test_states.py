@@ -1,6 +1,7 @@
 import functools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from latticelight import (
     build_path_entangled,
     build_tmsv,
 )
-from latticelight.states import analytic_moments_tmsv, moments_of
+from latticelight.states import analytic_moments_tmsv, coherent_moments, moments_of
 
 R_HALF = float(np.arcsinh(2**-0.5))  # half a photon per squeezed mode
 
@@ -149,6 +150,18 @@ class TestBuildCoherent:
         )
         assert state.tail_mass == pytest.approx(tail, abs=1e-13)
         assert state.tail_mass < 1e-9
+
+    @pytest.mark.parametrize("mu", [0.01, 0.8, 5.0])
+    @pytest.mark.parametrize("max_total", [1, 2, 12])
+    def test_tail_is_the_summed_poisson_tail(self, mu, max_total):
+        # the tail is summed, not taken as 1 - kept, which cancels: at
+        # mu = 0.8, M = 12 that difference was off by 8.6e-5 relative
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            state = build_coherent(FockBasis(2, max_total), [math.sqrt(mu), 0.0])
+        tail = math.fsum(math.exp(-mu) * mu**n / math.factorial(n)
+                         for n in range(max_total + 1, 150))
+        assert abs(state.tail_mass - tail) <= 1e-12 * tail
 
     def test_zero_amplitude_gives_vacuum(self, basis2):
         state = build_coherent(basis2, [0.0, 0.0])
@@ -370,6 +383,65 @@ class TestMomentsOfAgainstReferences:
         finally:
             tracemalloc.stop()
         assert peak < 100 * 10**6
+
+
+def coherent_amplitudes(N: int, mu: float) -> np.ndarray:
+    """Seeded complex amplitudes with total mean photon number mu."""
+    rng = np.random.default_rng(100 * N + int(10 * mu))
+    alphas = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    return alphas * math.sqrt(mu / float(np.vdot(alphas, alphas).real))
+
+
+class TestCoherentMoments:
+    @pytest.mark.parametrize("N", [1, 2, 4, 8])
+    @pytest.mark.parametrize("max_total", [1, 2, 3, 12])
+    @pytest.mark.parametrize("mu", [0.0, 0.5, 1.5])
+    def test_matches_the_ladder_action_on_the_truncated_state(self, N, max_total, mu):
+        alphas = coherent_amplitudes(N, mu)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ladder = moments_of(build_coherent(FockBasis(N, max_total), alphas))
+            closed = coherent_moments(alphas, max_total)
+        # both builders warn alike, here when a photon is cut at max_total <= 3
+        messages = [str(w.message) for w in caught if w.category is TruncationWarning]
+        assert len(messages) == (2 if mu > 0 and max_total <= 3 else 0)
+        assert len(set(messages)) <= 1
+        assert np.max(np.abs(closed.second - ladder.second)) <= 1e-14
+        assert np.max(np.abs(closed.fourth - ladder.fourth)) <= 1e-14
+
+    def test_vacuum_has_no_moments(self):
+        moments = coherent_moments([0.0, 0.0, 0.0], 12)
+        assert np.max(np.abs(moments.second)) == 0.0
+        assert np.max(np.abs(moments.fourth)) == 0.0
+
+    def test_moments_are_hermitian(self):
+        moments = coherent_moments(coherent_amplitudes(5, 1.0), 12)
+        fourth = moments.fourth.reshape(25, 25)
+        assert np.max(np.abs(moments.second - moments.second.conj().T)) <= 1e-16
+        assert np.max(np.abs(fourth - fourth.conj().T)) <= 1e-16
+        assert moments.total_photons() == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "alphas,max_total,message",
+        [
+            ([math.nan, 0.0], 3, "finite"),
+            ([complex(0.0, math.inf), 0.0], 3, "finite"),
+            ([1e200, 0.0], 3, "no support"),
+            ([[0.1, 0.2]], 3, "one coherent amplitude per mode"),
+        ],
+    )
+    def test_rejects_what_build_coherent_rejects(self, alphas, max_total, message):
+        with pytest.raises(ValueError, match=message):
+            coherent_moments(alphas, max_total)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=message):
+                build_coherent(FockBasis(2, max_total), alphas)
+
+    def test_rejects_an_empty_chain_and_a_negative_cut(self):
+        with pytest.raises(ValueError, match="at least one mode"):
+            coherent_moments([], 3)
+        with pytest.raises(ValueError, match="non-negative"):
+            coherent_moments([0.5], -1)
 
 
 class TestAnalyticTmsvMoments:
