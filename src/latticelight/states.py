@@ -210,10 +210,11 @@ def build_coherent(basis: FockBasis, alphas, tail_bound: float = 1e-8) -> FockSt
         A TruncationWarning is emitted when the discarded probability
         exceeds this bound.
     """
-    alphas, _, tail = _coherent_law(alphas, basis.num_modes, basis.max_total, tail_bound)
+    alphas, _, tail, log_fact = _coherent_law(
+        alphas, basis.num_modes, basis.max_total, tail_bound
+    )
     # coef[j, n] = exp(-|alpha_j|^2 / 2) alpha_j^n / sqrt(n!)
     n_values = np.arange(basis.max_total + 1)
-    log_fact = np.cumsum(np.log(np.maximum(n_values, 1)))
     coef = np.empty((basis.num_modes, basis.max_total + 1), dtype=complex)
     for j, alpha in enumerate(alphas):
         prefactor = math.exp(-0.5 * abs(alpha) ** 2)
@@ -222,7 +223,7 @@ def build_coherent(basis: FockBasis, alphas, tail_bound: float = 1e-8) -> FockSt
     return _normalized(basis, amps, tail)
 
 
-def coherent_moments(alphas, max_total: int, tail_bound: float = 1e-8) -> MomentSet:
+def coherent_moments(alphas, max_total: int) -> MomentSet:
     """Exact moments of ``build_coherent(FockBasis(len(alphas), max_total),
     alphas)``, in closed form and without a basis.
 
@@ -235,9 +236,9 @@ def coherent_moments(alphas, max_total: int, tail_bound: float = 1e-8) -> Moment
     <a_j^dag a_k^dag a_l a_m> = conj(alpha_j alpha_k) alpha_l alpha_m
     P(M - 2) / P(M).  Both are plain outer products, Hermitian to rounding.
     The input is validated, and a TruncationWarning emitted, exactly as
-    ``build_coherent`` does.
+    ``build_coherent`` does with its default bound.
     """
-    alphas, law, _ = _coherent_law(alphas, np.size(alphas), max_total, tail_bound)
+    alphas, law, _, _ = _coherent_law(alphas, np.size(alphas), max_total, 1e-8)
     pairs = np.multiply.outer(alphas, alphas)
     return MomentSet(law[:max_total].sum() * np.multiply.outer(alphas.conj(), alphas),
                      law[:max(max_total - 1, 0)].sum() * np.multiply.outer(pairs.conj(), pairs))
@@ -352,13 +353,12 @@ def _coherent_law(alphas, num_modes: int, max_total: int, tail_bound: float):
     ``max_total`` photons, its photon-number law and its discarded mass.
 
     The untruncated total is Poisson with mean mu = sum |alpha_j|^2, with
-    terms p_n = exp(-mu) mu^n / n!.  Past n = 2 mu each term is below half
-    the one before, so the terms more than 64 further on are dropped as
-    rounding.  Returns (alphas, law, tail): law[n] = p_n / P(max_total),
-    with P the Poisson CDF, for n up to max_total or that cut, whichever
-    comes first; tail = sum_{n > max_total} p_n, summed term by term rather
-    than taken as 1 - P(max_total), which cancels.  Emits a
-    TruncationWarning when the tail exceeds ``tail_bound``.
+    terms p_n = exp(-mu) mu^n / n!.  Returns (alphas, law, tail, log_fact):
+    law[n] = p_n / P(max_total) for n up to max_total, with P the Poisson
+    CDF; tail = sum_{n > max_total} p_n, summed term by term rather than
+    taken as 1 - P(max_total), which cancels; log_fact[n] = log n! for n up
+    to max_total.  Emits a TruncationWarning when the tail exceeds
+    ``tail_bound``.
     """
     if num_modes < 1:
         raise ValueError("need at least one mode")
@@ -373,20 +373,24 @@ def _coherent_law(alphas, num_modes: int, max_total: int, tail_bound: float):
     if not math.isfinite(mu):
         raise ValueError("state has no support inside the truncated basis")
 
-    def log_terms(first: int, last: float) -> np.ndarray:
-        n = np.arange(first, int(last) + 1)
+    def log_terms(n: np.ndarray, log_fact: np.ndarray) -> np.ndarray:
         if mu == 0:
             return np.where(n == 0, 0.0, -np.inf)
-        return n * math.log(mu) - mu - np.array([math.lgamma(k + 1.0) for k in n.tolist()])
+        return n * math.log(mu) - mu - log_fact
 
-    head = log_terms(0, min(max_total, 2.0 * mu + 64.0))
+    n = np.arange(max_total + 1)
+    log_fact = np.cumsum(np.log(np.maximum(n, 1)))
+    head = log_terms(n, log_fact)
     if not np.sum(np.exp(head)) > 0:
         raise ValueError("state has no support inside the truncated basis")
-    tail = math.fsum(np.exp(log_terms(max_total + 1, max(max_total, 2.0 * mu + 1.0) + 64.0)))
+    # log n! runs on past max_total; past n = 2 mu each term is below half
+    # the one before, so the terms more than 64 further on are dropped
+    far = np.arange(max_total + 1, int(max(max_total, 2.0 * mu + 1.0)) + 65)
+    tail = math.fsum(np.exp(log_terms(far, log_fact[-1] + np.cumsum(np.log(far)))))
     _warn_truncation(tail, tail_bound, stacklevel=4)
     # scaled by the largest term, so the law survives an underflowing P
     law = np.exp(head - np.max(head))
-    return alphas, law / np.sum(law), tail
+    return alphas, law / np.sum(law), tail, log_fact
 
 
 def _warn_truncation(tail: float, tail_bound: float, stacklevel: int = 3) -> None:
