@@ -5,7 +5,8 @@ sum_k U[p, k] a_k(0), so mean photon numbers contract the initial second
 moments with one row of U and photon-number correlations contract the
 initial fourth moments with two rows.  The correlation <n_p n_q> is computed
 exactly as written, i.e. including the commutator term delta_{p,q} <n_p>
-rather than its normally-ordered part alone.
+rather than its normally-ordered part alone.  ``trace_observables`` is the
+engine's one readout, for a single distance as for a whole grid.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ __all__ = [
     "NumericalInconsistencyError",
     "Trace",
     "check_sweep",
-    "mean_photons",
-    "g2",
     "trace_observables",
 ]
 
@@ -71,51 +70,6 @@ def check_sweep(z_grid, pairs, num_modes: int):
     return z_values, pair_list
 
 
-def mean_photons(U: np.ndarray, m: MomentSet) -> np.ndarray:
-    """Mean photon number per waveguide after propagation through the N x N
-    transfer matrix U."""
-    if U.shape != m.second.shape:
-        raise ValueError("transfer matrix and moments have different mode counts")
-    values = np.einsum("pk,kl,pl->p", U.conj(), m.second, U)
-    _check_real(values, "mean photon numbers acquired imaginary part {:.3e}")
-    return values.real.copy()
-
-
-def g2(U: np.ndarray, m: MomentSet, p: int, q: int) -> float:
-    """Two-point photon-number correlation <n_p(z) n_q(z)>.
-
-    The normally-ordered part contracts the fourth moments with rows p and
-    q of the N x N transfer matrix U; for p == q the bosonic commutator adds
-    <n_p(z)> on top.
-    """
-    if U.shape != m.second.shape:
-        raise ValueError("transfer matrix and moments have different mode counts")
-    N = m.num_modes
-    if not (0 <= p < N and 0 <= q < N):
-        raise ValueError(f"indices ({p}, {q}) out of range for {N} modes")
-    a, b = sorted((int(p), int(q)))
-    row_a = U[a]
-    row_b = U[b]
-    value = complex(
-        np.einsum(
-            "j,k,l,m,jklm->",
-            row_a.conj(),
-            row_b.conj(),
-            row_a,
-            row_b,
-            m.fourth,
-            optimize=True,
-        )
-    )
-    if a == b:
-        value += complex(np.einsum("k,kl,l->", row_a.conj(), m.second, row_a))
-    if not abs(value.imag) <= _IMAG_LIMIT:
-        raise NumericalInconsistencyError(
-            f"correlation g2[{p},{q}] acquired imaginary part {value.imag:.3e}"
-        )
-    return float(value.real)
-
-
 def trace_observables(
     spectrum: Spectrum,
     m: MomentSet,
@@ -129,9 +83,9 @@ def trace_observables(
     products U[a, l] U[b, m] of the two rows of each pair, with the fourth
     moments read as an N^2 x N^2 matrix for the correlations.  The grid and
     ``pairs`` pass ``check_sweep``; ``pairs`` selects the (p, q)
-    correlations (none yields means only).  The result is checked for
-    imaginary parts, negative means and photon-number drift with the
-    tolerances of ``mean_photons`` and ``g2``.
+    correlations (none yields means only).  Imaginary parts above 1e-8,
+    means below -1e-10 and a total photon number that drifts by more than
+    1e-10 raise ``NumericalInconsistencyError``.
     """
     N = spectrum.size
     if N != m.num_modes:

@@ -8,6 +8,7 @@ starts with a comment line pinning the 0-based waveguide indexing.
 
 from __future__ import annotations
 
+import inspect
 import json
 import sys
 from dataclasses import dataclass
@@ -45,14 +46,6 @@ INDEXING_NOTE = "# waveguide indices are 0-based: index 0 is the first waveguide
 
 DEFAULT_N_MAX = 12
 ENGINES = ("moments", "fock", "both")
-
-_FAMILY_PARAMS = {
-    "uniform": ("N", "omega", "g"),
-    "glauber_fock": ("N", "omega", "g"),
-    "binary": ("N", "omega", "g"),
-    "perfect_transfer": ("N", "z_t"),
-    "jacobi_semi_infinite": ("N", "omega"),
-}
 
 _FAMILY_BUILDERS = {
     "uniform": make_uniform,
@@ -112,14 +105,15 @@ def parse_lattice(section) -> LatticeSpec:
         except ValueError as err:
             raise ConfigError(f"lattice.explicit: {err}") from err
     family = section.get("family")
-    if family not in _FAMILY_PARAMS:
-        known = ", ".join(sorted(_FAMILY_PARAMS))
+    if family not in _FAMILY_BUILDERS:
+        known = ", ".join(sorted(_FAMILY_BUILDERS))
         raise ConfigError(
             f"lattice.family: expected one of {known} (or an 'explicit' block), "
             f"got {family!r}"
         )
+    builder = _FAMILY_BUILDERS[family]
     kwargs = {}
-    for name in _FAMILY_PARAMS[family]:
+    for name in inspect.signature(builder).parameters:
         if name not in section:
             raise ConfigError(f"lattice.{name}: required for family '{family}'")
         kwargs[name] = section[name]
@@ -129,7 +123,7 @@ def parse_lattice(section) -> LatticeSpec:
         if name != "N":
             kwargs[name] = _number(value, f"lattice.{name}")
     try:
-        return _FAMILY_BUILDERS[family](**kwargs)
+        return builder(**kwargs)
     except ValueError as err:
         raise ConfigError(f"lattice: {err}") from err
 
@@ -236,18 +230,17 @@ def propagate(spec: LatticeSpec, state: FockState | MomentSet, z, pairs=(), targ
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
     if targets and engine == "moments":
         raise ValueError("fidelities need the Fock engine; use engine 'fock' or 'both'")
-    if isinstance(state, MomentSet):
-        if engine != "moments":
-            raise ValueError("a MomentSet runs on the moments engine only; use engine 'moments'")
-        return trace_observables(eigendecompose(spec), state, z, pairs)
+    if isinstance(state, MomentSet) and engine != "moments":
+        raise ValueError("a MomentSet runs on the moments engine only; use engine 'moments'")
     if engine != "moments":
         fock = FockEvolver(spec, state.basis).sweep(state, z, pairs, targets)
         if engine == "fock":
             return fock
-    moments = trace_observables(eigendecompose(spec), moments_of(state), z, pairs)
+    initial = state if isinstance(state, MomentSet) else moments_of(state)
+    moments = trace_observables(eigendecompose(spec), initial, z, pairs)
     if engine == "moments":
         return moments
-    worst, tolerance = engine_gate(moments, fock, state)
+    worst, tolerance = engine_gate(moments, fock)
     if not worst <= tolerance:
         raise NumericalInconsistencyError(
             f"engines disagree by {worst:.3e} (tolerance {tolerance:.3e})"
@@ -255,14 +248,17 @@ def propagate(spec: LatticeSpec, state: FockState | MomentSet, z, pairs=(), targ
     return fock
 
 
-def engine_gate(first: Trace, second: Trace, state: FockState) -> tuple[float, float]:
-    """Largest gap between two traces of ``state`` and the tolerance it must meet.
+def engine_gate(first: Trace, second: Trace) -> tuple[float, float]:
+    """Largest gap between two traces of one state and the tolerance it must meet.
 
-    Both engines consume the same truncated state, so the tolerance is
-    max(1e-8, 10 * tail_mass).  A non-finite gap fails any comparison.
+    Both engines consume the same truncated state, so they agree to
+    rounding: the tolerance is 1e-11 times the largest |mean or correlation|
+    of ``first``, and at least 1e-11.  A NaN gap fails any comparison.
     """
-    gaps = np.abs(np.hstack((first.means - second.means, first.g2 - second.g2)))
-    return float(np.max(gaps, initial=0.0)), max(1e-8, 10.0 * state.tail_mass)
+    values = np.hstack((first.means, first.g2))
+    gaps = np.abs(values - np.hstack((second.means, second.g2)))
+    scale = max(1.0, float(np.max(np.abs(values), initial=0.0)))
+    return float(np.max(gaps, initial=0.0)), 1e-11 * scale
 
 
 def _build_state(section, N: int, n_max: int, engine: str) -> FockState | MomentSet:

@@ -29,6 +29,9 @@ __all__ = [
     "analytic_moments_tmsv",
 ]
 
+# discarded probability above which a truncated state warns
+_TAIL_BOUND = 1e-8
+
 
 class TruncationWarning(UserWarning):
     """A truncated state discarded more probability than the configured bound."""
@@ -199,20 +202,14 @@ def build_fock(basis: FockBasis, occupation) -> FockState:
     return FockState(basis, amps, tail_mass=0.0)
 
 
-def build_coherent(basis: FockBasis, alphas, tail_bound: float = 1e-8) -> FockState:
-    """Product of coherent states, truncated to the basis and renormalized.
+def build_coherent(basis: FockBasis, alphas) -> FockState:
+    """Product of coherent states, one amplitude per mode, truncated to the
+    basis and renormalized.
 
-    Parameters
-    ----------
-    alphas : sequence of complex
-        One coherent amplitude per mode.
-    tail_bound : float
-        A TruncationWarning is emitted when the discarded probability
-        exceeds this bound.
+    A TruncationWarning is emitted when the discarded probability exceeds
+    1e-8.
     """
-    alphas, _, tail, log_fact = _coherent_law(
-        alphas, basis.num_modes, basis.max_total, tail_bound
-    )
+    alphas, _, tail, log_fact = _coherent_law(alphas, basis.num_modes, basis.max_total)
     # coef[j, n] = exp(-|alpha_j|^2 / 2) alpha_j^n / sqrt(n!)
     n_values = np.arange(basis.max_total + 1)
     coef = np.empty((basis.num_modes, basis.max_total + 1), dtype=complex)
@@ -236,9 +233,9 @@ def coherent_moments(alphas, max_total: int) -> MomentSet:
     <a_j^dag a_k^dag a_l a_m> = conj(alpha_j alpha_k) alpha_l alpha_m
     P(M - 2) / P(M).  Both are plain outer products, Hermitian to rounding.
     The input is validated, and a TruncationWarning emitted, exactly as
-    ``build_coherent`` does with its default bound.
+    ``build_coherent`` does.
     """
-    alphas, law, _, _ = _coherent_law(alphas, np.size(alphas), max_total, 1e-8)
+    alphas, law, _, _ = _coherent_law(alphas, np.size(alphas), max_total)
     pairs = np.multiply.outer(alphas, alphas)
     return MomentSet(law[:max_total].sum() * np.multiply.outer(alphas.conj(), alphas),
                      law[:max(max_total - 1, 0)].sum() * np.multiply.outer(pairs.conj(), pairs))
@@ -255,13 +252,13 @@ def build_path_entangled(basis: FockBasis, mode_a: int, mode_b: int) -> FockStat
 
 
 def build_tmsv(
-    basis: FockBasis, mode_a: int, mode_b: int, r: float, tail_bound: float = 1e-8
+    basis: FockBasis, mode_a: int, mode_b: int, r: float, tail_bound: float = _TAIL_BOUND
 ) -> FockState:
     """Two-mode squeezed vacuum with finite squeezing parameter r >= 0.
 
     Amplitudes tanh(r)**j / cosh(r) on the pair occupations |j, j>, kept for
     2 j <= max_total, then renormalized; the discarded geometric tail is
-    recorded as ``tail_mass``.
+    recorded as ``tail_mass``, with a TruncationWarning above ``tail_bound``.
     """
     _check_mode_pair(basis, mode_a, mode_b)
     if not (math.isfinite(r) and r >= 0):
@@ -348,7 +345,7 @@ def analytic_moments_tmsv(r: float, mode_a: int, mode_b: int, N: int) -> MomentS
     return MomentSet(second, fourth)
 
 
-def _coherent_law(alphas, num_modes: int, max_total: int, tail_bound: float):
+def _coherent_law(alphas, num_modes: int, max_total: int):
     """Validated amplitudes of a product coherent state truncated to
     ``max_total`` photons, its photon-number law and its discarded mass.
 
@@ -357,8 +354,7 @@ def _coherent_law(alphas, num_modes: int, max_total: int, tail_bound: float):
     law[n] = p_n / P(max_total) for n up to max_total, with P the Poisson
     CDF; tail = sum_{n > max_total} p_n, summed term by term rather than
     taken as 1 - P(max_total), which cancels; log_fact[n] = log n! for n up
-    to max_total.  Emits a TruncationWarning when the tail exceeds
-    ``tail_bound``.
+    to max_total.  Emits a TruncationWarning when the tail exceeds 1e-8.
     """
     if num_modes < 1:
         raise ValueError("need at least one mode")
@@ -387,7 +383,7 @@ def _coherent_law(alphas, num_modes: int, max_total: int, tail_bound: float):
     # the one before, so the terms more than 64 further on are dropped
     far = np.arange(max_total + 1, int(max(max_total, 2.0 * mu + 1.0)) + 65)
     tail = math.fsum(np.exp(log_terms(far, log_fact[-1] + np.cumsum(np.log(far)))))
-    _warn_truncation(tail, tail_bound, stacklevel=4)
+    _warn_truncation(tail, _TAIL_BOUND, stacklevel=4)
     # scaled by the largest term, so the law survives an underflowing P
     law = np.exp(head - np.max(head))
     return alphas, law / np.sum(law), tail, log_fact

@@ -30,7 +30,7 @@ from .lattice import (
     make_perfect_transfer,
     make_uniform,
 )
-from .moments import mean_photons
+from .moments import NumericalInconsistencyError, trace_observables
 from .runner import engine_gate, propagate, run_propagate
 from .spectral import eigendecompose, jacobi_matrix, transfer_matrix
 from .states import (
@@ -48,8 +48,9 @@ __all__ = ["CheckResult", "hermite_zeros", "run_acceptance", "format_report", "R
 
 # squeezing that puts half a photon in each squeezed mode: arcsinh(2**-0.5)
 R_HALF_PHOTON = float(np.arcsinh(2**-0.5))
-# truncation bound of the n_max = 12 squeezed states, whose tail of 4.57e-4 the
-# checks that use them fold into their tolerance as 10 * tail_mass
+# truncation bound of the n_max = 12 squeezed states, whose tail of 4.57e-4
+# only the tmsv-vs-path-entangled-means check folds into its tolerance, as
+# 10 * tail_mass; the engine checks compare the same truncated state
 _TMSV_TAIL_BOUND = 1e-3
 
 _COUPLER = LatticeSpec(np.zeros(2), np.ones(1))
@@ -289,7 +290,7 @@ def check_engine_equivalence() -> list[CheckResult]:
         grid = np.linspace(0.0, z_stop, 101)
         moments, fock = (propagate(spec, state, grid, pairs, engine=engine)
                          for engine in ("moments", "fock"))
-        results.append(_result(f"engine-equivalence-{name}", *engine_gate(moments, fock, state)))
+        results.append(_result(f"engine-equivalence-{name}", *engine_gate(moments, fock)))
     return results
 
 
@@ -300,6 +301,7 @@ def check_conservation_unitarity() -> list[CheckResult]:
     resid_err = 0.0
     unit_err = 0.0
     conserve_err = 0.0
+    conserve_note = ""
     group_err = 0.0
     for _ in range(200):
         N = int(rng.integers(2, 17))
@@ -325,14 +327,17 @@ def check_conservation_unitarity() -> list[CheckResult]:
         second = root.conj().T @ root
         second /= np.trace(second).real
         mset = MomentSet(second, np.zeros((N, N, N, N), dtype=complex))
-        for U in (U1, U2):
-            total = float(np.sum(mean_photons(U, mset)))
-            conserve_err = max(conserve_err, abs(total - mset.total_photons()))
+        try:
+            totals = trace_observables(spectrum, mset, np.sort([z1, z2])).means.sum(axis=1)
+        except NumericalInconsistencyError as err:
+            # the readout refuses a drift above 1e-10; report it as a failure
+            totals, conserve_note = np.array([math.inf]), str(err)
+        conserve_err = max(conserve_err, float(np.max(np.abs(totals - mset.total_photons()))))
     return [
         _result("eigenvector-orthogonality", orth_err, 1e-12),
         _result("eigen-residual", resid_err, 1e-12, "relative to max(1, |M|_max)"),
         _result("transfer-unitarity", unit_err, 1e-12),
-        _result("photon-conservation", conserve_err, 1e-10),
+        _result("photon-conservation", conserve_err, 1e-10, conserve_note),
         _result("transfer-composition", group_err, 1e-10),
     ]
 

@@ -112,7 +112,7 @@ class TestSectorHamiltonian:
         pairs = [(0, 0), (0, 7), (3, 4)]
         traces = [propagate(spec, state, [0.0, 0.5], pairs, engine=engine)
                   for engine in ("moments", "fock")]
-        gap, tolerance = engine_gate(*traces, state)
+        gap, tolerance = engine_gate(*traces)
         assert gap <= tolerance
         assert np.allclose(traces[1].means.sum(axis=1), 12.0, atol=1e-10, rtol=0)
 

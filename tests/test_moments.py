@@ -16,7 +16,7 @@ from latticelight import (
     build_tmsv,
     make_perfect_transfer,
 )
-from latticelight.moments import g2, mean_photons, trace_observables
+from latticelight.moments import trace_observables
 from latticelight.spectral import eigendecompose, transfer_matrix
 from latticelight.states import MomentSet, moments_of
 
@@ -39,6 +39,17 @@ def random_moment_set(rng, N):
     return MomentSet(second, fourth)
 
 
+def single_distance_observables(U, m, pairs):
+    """Means and correlations through one N x N transfer matrix U, contracted
+    term by term: <n_p> = sum_kl conj(U[p, k]) second[k, l] U[p, l], and
+    <n_p n_q> contracts the fourth moments with rows p and q, plus <n_p>
+    when p == q."""
+    means = np.einsum("pk,kl,pl->p", U.conj(), m.second, U)
+    corr = [np.einsum("j,k,l,m,jklm->", U[p].conj(), U[q].conj(), U[p], U[q], m.fourth)
+            + (p == q) * means[p] for p, q in pairs]
+    return means.real, np.real(corr)
+
+
 @pytest.fixture(scope="module")
 def coupler_spectrum(coupler):
     return eigendecompose(coupler)
@@ -54,28 +65,27 @@ class TestMeanPhotons:
     def test_zero_distance_returns_diagonal(self, coupler_spectrum, basis2):
         state = quiet_tmsv(basis2)
         moments = moments_of(state)
-        U = transfer_matrix(coupler_spectrum, 0.0)
-        assert np.allclose(
-            mean_photons(U, moments), np.diag(moments.second).real, atol=1e-12
-        )
+        (means,) = trace_observables(coupler_spectrum, moments, [0.0]).means
+        assert np.allclose(means, np.diag(moments.second).real, atol=1e-12)
 
     def test_single_photon_follows_closed_form(self, coupler_spectrum, basis2):
         moments = moments_of(build_fock(basis2, (1, 0)))
-        for z in np.linspace(0.0, 2.0 * math.pi, 101):
-            means = mean_photons(transfer_matrix(coupler_spectrum, z), moments)
-            assert means[0] == pytest.approx(math.cos(z) ** 2, abs=1e-10)
-            assert means[1] == pytest.approx(math.sin(z) ** 2, abs=1e-10)
+        grid = np.linspace(0.0, 2.0 * math.pi, 101)
+        means = trace_observables(coupler_spectrum, moments, grid).means
+        assert means[:, 0] == pytest.approx(np.cos(grid) ** 2, abs=1e-10)
+        assert means[:, 1] == pytest.approx(np.sin(grid) ** 2, abs=1e-10)
 
     def test_coherent_curve_matches_single_photon(self, coupler_spectrum, basis2):
         # unit-amplitude coherent light shows the same mean-photon curve as
         # one photon even though the states differ
         single = moments_of(build_fock(basis2, (1, 0)))
         coherent = moments_of(build_coherent(basis2, [1.0, 0.0]))
-        for z in np.linspace(0.0, math.pi, 25):
-            U = transfer_matrix(coupler_spectrum, z)
-            assert np.allclose(
-                mean_photons(U, single), mean_photons(U, coherent), atol=1e-8
-            )
+        grid = np.linspace(0.0, math.pi, 25)
+        assert np.allclose(
+            trace_observables(coupler_spectrum, single, grid).means,
+            trace_observables(coupler_spectrum, coherent, grid).means,
+            atol=1e-8,
+        )
 
     def test_coherent_states_stay_coherent(self, basis4):
         # under linear propagation the mean field evolves as U @ alphas
@@ -83,12 +93,11 @@ class TestMeanPhotons:
         spectrum = eigendecompose(spec)
         alphas = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
         state = build_coherent(basis4, alphas)
-        moments = moments_of(state)
         tol = max(1e-8, 10.0 * state.tail_mass)
-        for z in (0.0, 0.4, 1.0, 1.7):
-            U = transfer_matrix(spectrum, z)
-            expected = np.abs(U @ alphas) ** 2
-            assert np.max(np.abs(mean_photons(U, moments) - expected)) < tol
+        grid = [0.0, 0.4, 1.0, 1.7]
+        expected = np.abs(transfer_matrix(spectrum, grid) @ alphas) ** 2
+        means = trace_observables(spectrum, moments_of(state), grid).means
+        assert np.max(np.abs(means - expected)) < tol
 
     def test_rejects_inconsistent_moments(self, coupler_spectrum):
         # a non-Hermitian second-moment matrix leaves a large imaginary part
@@ -96,39 +105,36 @@ class TestMeanPhotons:
             np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
             np.zeros((2, 2, 2, 2), complex),
         )
-        U = transfer_matrix(coupler_spectrum, 0.7)
         with pytest.raises(NumericalInconsistencyError):
-            mean_photons(U, broken)
+            trace_observables(coupler_spectrum, broken, [0.7])
 
     def test_dimension_mismatch(self, coupler_spectrum):
         moments = MomentSet(np.zeros((3, 3)), np.zeros((3, 3, 3, 3)))
-        with pytest.raises(ValueError):
-            mean_photons(transfer_matrix(coupler_spectrum, 0.0), moments)
+        with pytest.raises(ValueError, match="different mode counts"):
+            trace_observables(coupler_spectrum, moments, [0.0])
 
 
 class TestG2:
     def test_single_photon_never_coincides(self, coupler_spectrum, basis2):
         moments = moments_of(build_fock(basis2, (1, 0)))
-        for z in (0.0, 0.4, 1.1, 2.9):
-            U = transfer_matrix(coupler_spectrum, z)
-            assert g2(U, moments, 0, 1) == pytest.approx(0.0, abs=1e-12)
+        trace = trace_observables(coupler_spectrum, moments, [0.0, 0.4, 1.1, 2.9], [(0, 1)])
+        assert trace.g2[:, 0] == pytest.approx(np.zeros(4), abs=1e-12)
 
     def test_single_photon_autocorrelation(self, coupler_spectrum, basis2):
         # occupations are 0 or 1, so <n^2> equals <n> = cos^2 z
         moments = moments_of(build_fock(basis2, (1, 0)))
-        for z in (0.0, 0.4, 1.1, 2.9):
-            U = transfer_matrix(coupler_spectrum, z)
-            assert g2(U, moments, 0, 0) == pytest.approx(math.cos(z) ** 2, abs=1e-10)
+        grid = np.array([0.0, 0.4, 1.1, 2.9])
+        trace = trace_observables(coupler_spectrum, moments, grid, [(0, 0)])
+        assert trace.g2[:, 0] == pytest.approx(np.cos(grid) ** 2, abs=1e-10)
 
     def test_two_photon_interference_dip(self, coupler_spectrum, basis2):
         # |1,1> coincidences vanish at the 50:50 point; the fourth-moment
         # contraction reproduces the interference the means cannot see
         moments = moments_of(build_fock(basis2, (1, 1)))
-        U = transfer_matrix(coupler_spectrum, math.pi / 4.0)
-        assert g2(U, moments, 0, 1) == pytest.approx(0.0, abs=1e-12)
-        assert np.allclose(mean_photons(U, moments), [1.0, 1.0], atol=1e-12)
-        U0 = transfer_matrix(coupler_spectrum, 0.0)
-        assert g2(U0, moments, 0, 1) == pytest.approx(1.0, abs=1e-12)
+        trace = trace_observables(coupler_spectrum, moments, [0.0, math.pi / 4.0], [(0, 1)])
+        assert trace.g2[1, 0] == pytest.approx(0.0, abs=1e-12)
+        assert np.allclose(trace.means[1], [1.0, 1.0], atol=1e-12)
+        assert trace.g2[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_tmsv_cross_correlation_at_start(self, coupler_spectrum):
         # brute-force series over the pair expansion gives exactly 1
@@ -138,8 +144,7 @@ class TestG2:
         state = build_tmsv(basis, 0, 1, R_HALF)
         x = math.tanh(R_HALF) ** 2
         brute_force = math.fsum(j * j * (1.0 - x) * x**j for j in range(400))
-        U = transfer_matrix(coupler_spectrum, 0.0)
-        value = g2(U, moments_of(state), 0, 1)
+        (value,) = trace_observables(coupler_spectrum, moments_of(state), [0.0], [(0, 1)]).g2[0]
         assert value == pytest.approx(brute_force, abs=max(1e-8, 10 * state.tail_mass))
 
     def test_coherent_correlations_factorize(self, coupler_spectrum, basis2):
@@ -147,40 +152,33 @@ class TestG2:
         # <n_p n_q> = <n_p><n_q> for p != q and <n_p^2> = <n_p>^2 + <n_p>;
         # deviations are truncation-limited
         moments = moments_of(build_coherent(basis2, [1.0, 0.0]))
-        for z in np.linspace(0.0, math.pi, 21):
-            U = transfer_matrix(coupler_spectrum, z)
-            means = mean_photons(U, moments)
-            assert g2(U, moments, 0, 1) == pytest.approx(
-                means[0] * means[1], abs=1e-7
-            )
-            assert g2(U, moments, 0, 0) == pytest.approx(
-                means[0] ** 2 + means[0], abs=1e-7
-            )
+        grid = np.linspace(0.0, math.pi, 21)
+        trace = trace_observables(coupler_spectrum, moments, grid, [(0, 1), (0, 0)])
+        means = trace.means
+        assert trace.g2[:, 0] == pytest.approx(means[:, 0] * means[:, 1], abs=1e-7)
+        assert trace.g2[:, 1] == pytest.approx(means[:, 0] ** 2 + means[:, 0], abs=1e-7)
 
     def test_correlations_separate_coherent_from_single_photon(
         self, coupler_spectrum, basis2
     ):
         # identical mean-photon curves, opposite coincidence statistics
-        photon = moments_of(build_fock(basis2, (1, 0)))
-        coherent = moments_of(build_coherent(basis2, [1.0, 0.0]))
-        U = transfer_matrix(coupler_spectrum, math.pi / 4.0)
-        assert np.allclose(
-            mean_photons(U, photon), mean_photons(U, coherent), atol=1e-8
+        photon, coherent = (
+            trace_observables(coupler_spectrum, moments_of(state), [math.pi / 4.0], [(0, 1)])
+            for state in (build_fock(basis2, (1, 0)), build_coherent(basis2, [1.0, 0.0]))
         )
-        assert g2(U, photon, 0, 1) == pytest.approx(0.0, abs=1e-12)
-        assert g2(U, coherent, 0, 1) == pytest.approx(0.25, abs=1e-7)
+        assert np.allclose(photon.means, coherent.means, atol=1e-8)
+        assert photon.g2[0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert coherent.g2[0, 0] == pytest.approx(0.25, abs=1e-7)
 
     def test_symmetry_is_exact(self, coupler_spectrum, basis2):
         state = quiet_tmsv(basis2)
-        moments = moments_of(state)
-        U = transfer_matrix(coupler_spectrum, 0.83)
-        assert g2(U, moments, 0, 1) == g2(U, moments, 1, 0)
+        trace = trace_observables(coupler_spectrum, moments_of(state), [0.83], [(0, 1), (1, 0)])
+        assert trace.g2[0, 0] == trace.g2[0, 1]
 
     def test_index_validation(self, coupler_spectrum, basis2):
         moments = moments_of(build_fock(basis2, (1, 0)))
-        U = transfer_matrix(coupler_spectrum, 0.0)
-        with pytest.raises(ValueError):
-            g2(U, moments, 0, 2)
+        with pytest.raises(ValueError, match="out of range"):
+            trace_observables(coupler_spectrum, moments, [0.0], [(0, 2)])
 
 
 class TestTraceObservables:
@@ -191,14 +189,13 @@ class TestTraceObservables:
         arrays = {"second": np.array(moments.second), "fourth": np.array(moments.fourth)}
         arrays[where][0, ...] = math.nan
         poisoned = MomentSet(arrays["second"], arrays["fourth"])
-        U = transfer_matrix(coupler_spectrum, 0.3)
         with pytest.raises(NumericalInconsistencyError):
             trace_observables(coupler_spectrum, poisoned, [0.0, 0.3], [(0, 1)])
         with pytest.raises(NumericalInconsistencyError):
-            g2(U, poisoned, 0, 0)
+            trace_observables(coupler_spectrum, poisoned, [0.3], [(0, 0)])
         if where == "second":
             with pytest.raises(NumericalInconsistencyError):
-                mean_photons(U, poisoned)
+                trace_observables(coupler_spectrum, poisoned, [0.3])
 
     def test_empty_pairs_gives_means_only(self, coupler_spectrum, basis2):
         moments = moments_of(build_fock(basis2, (1, 0)))
@@ -269,10 +266,9 @@ class TestTraceObservables:
         assert trace.pairs == tuple(pairs)
         assert np.array_equal(trace.z, z_grid)
         for i, z in enumerate(z_grid):
-            U = transfer_matrix(spectrum, z)
-            assert np.max(np.abs(trace.means[i] - mean_photons(U, moments))) < 1e-12
-            for k, (p, q) in enumerate(pairs):
-                assert abs(trace.g2[i, k] - g2(U, moments, p, q)) < 1e-12
+            means, corr = single_distance_observables(transfer_matrix(spectrum, z), moments, pairs)
+            assert np.max(np.abs(trace.means[i] - means)) < 1e-12
+            assert np.max(np.abs(trace.g2[i] - corr)) < 1e-12
 
     def test_batched_sweep_rejects_inconsistent_moments(self, coupler_spectrum):
         # a non-Hermitian second-moment matrix leaves a large imaginary part
@@ -299,7 +295,6 @@ class TestEngineAgreement:
         squeezed = moments_of(squeezed_state)
         grid = np.linspace(0.0, math.pi, 21)
         tol = max(1e-8, 10.0 * squeezed_state.tail_mass)
-        for z in grid:
-            U = transfer_matrix(coupler_spectrum, z)
-            gap = np.abs(mean_photons(U, entangled) - mean_photons(U, squeezed))
-            assert np.max(gap) < tol
+        gap = np.abs(trace_observables(coupler_spectrum, entangled, grid).means
+                     - trace_observables(coupler_spectrum, squeezed, grid).means)
+        assert np.max(gap) < tol

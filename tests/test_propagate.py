@@ -171,18 +171,36 @@ class TestMomentSetInput:
 
 
 class TestEngineGate:
-    def test_tolerance_scales_with_the_tail(self, coupler, basis2):
+    @pytest.fixture
+    def squeezed(self, basis2):
+        # 10 * tail_mass is about 4.7e-3 at n_max = 12
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
-            squeezed = build_tmsv(basis2, 0, 1, 0.66)
-        assert 10.0 * squeezed.tail_mass > 1e-8
-        for state, tolerance in ((build_fock(basis2, (1, 0)), 1e-8),
-                                 (squeezed, 10.0 * squeezed.tail_mass)):
-            traces = [propagate(coupler, state, [0.0, 1.0], [(0, 1)], engine=engine)
+            return build_tmsv(basis2, 0, 1, 0.66)
+
+    def test_tolerance_is_rounding_scaled(self, coupler, basis2, squeezed):
+        # both engines read the same truncated state, so the tail stays out
+        # of the bound, which scales with the largest observable only
+        assert 10.0 * squeezed.tail_mass > 1e-3
+        for state, pairs, tolerance in ((squeezed, [(0, 1)], 1e-11),
+                                        (build_fock(basis2, (2, 1)), [(0, 0)], 4e-11)):
+            traces = [propagate(coupler, state, [0.0, 1.0], pairs, engine=engine)
                       for engine in ("moments", "fock")]
-            gap, gate = engine_gate(*traces, state)
+            gap, gate = engine_gate(*traces)
             assert gap < 1e-13
-            assert gate == tolerance
+            assert gate == pytest.approx(tolerance, rel=1e-14)
+
+    def test_small_defect_on_a_high_tail_state_disagrees(self, coupler, squeezed, monkeypatch):
+        sweep = FockEvolver.sweep
+
+        def shifted(self, *args):
+            trace = sweep(self, *args)
+            return Trace(trace.z, trace.means + 1e-6, trace.g2, trace.pairs, trace.fid,
+                         trace.targets)
+
+        monkeypatch.setattr(FockEvolver, "sweep", shifted)
+        with pytest.raises(NumericalInconsistencyError, match="disagree"):
+            propagate(coupler, squeezed, [0.0, 1.0], [(0, 1)], engine="both")
 
     def test_non_finite_gap_is_a_disagreement(self, coupler, basis2, monkeypatch):
         # the gate must not read a NaN gap as agreement
