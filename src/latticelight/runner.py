@@ -105,7 +105,7 @@ def parse_lattice(section) -> LatticeSpec:
         except ValueError as err:
             raise ConfigError(f"lattice.explicit: {err}") from err
     family = section.get("family")
-    if family not in _FAMILY_BUILDERS:
+    if not isinstance(family, str) or family not in _FAMILY_BUILDERS:
         known = ", ".join(sorted(_FAMILY_BUILDERS))
         raise ConfigError(
             f"lattice.family: expected one of {known} (or an 'explicit' block), "

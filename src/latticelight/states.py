@@ -171,21 +171,30 @@ class FockState:
 
 @dataclass(frozen=True, eq=False)
 class MomentSet:
-    """Second moments <a_j^dag a_k> and fourth moments <a_j^dag a_k^dag a_l a_m>."""
+    """Second moments <a_j^dag a_k> and the fourth moments as a pair factor.
+
+    ``pair_factor[l, m, :]`` holds the components W[l, m, r] of the pair
+    vector a_l a_m |psi> in an orthonormal frame of r vectors, so that
+    <a_j^dag a_k^dag a_l a_m> = sum_r conj(W[j, k, r]) W[l, m, r].  Its
+    shape is (N, N, r), and since the annihilators commute it is symmetric
+    in its first two axes, bit for bit.
+    """
 
     second: np.ndarray
-    fourth: np.ndarray
+    pair_factor: np.ndarray
 
     def __post_init__(self):
         second = np.asarray(self.second, dtype=complex)
-        fourth = np.asarray(self.fourth, dtype=complex)
+        factor = np.asarray(self.pair_factor, dtype=complex)
         n = second.shape[0]
-        if second.shape != (n, n) or fourth.shape != (n, n, n, n):
-            raise ValueError("moment arrays must be N x N and N x N x N x N")
+        if second.shape != (n, n) or factor.ndim != 3 or factor.shape[:2] != (n, n):
+            raise ValueError("moment arrays must be N x N and N x N x r")
+        if not np.array_equal(factor, factor.transpose(1, 0, 2), equal_nan=True):
+            raise ValueError("pair factor must be symmetric in its first two axes")
         second.setflags(write=False)
-        fourth.setflags(write=False)
+        factor.setflags(write=False)
         object.__setattr__(self, "second", second)
-        object.__setattr__(self, "fourth", fourth)
+        object.__setattr__(self, "pair_factor", factor)
 
     @property
     def num_modes(self) -> int:
@@ -229,16 +238,17 @@ def coherent_moments(alphas, max_total: int) -> MomentSet:
     totals up to M = ``max_total``.  On totals up to M - k it still obeys
     a_l a_m psi = alpha_l alpha_m psi, so with P the Poisson CDF (and P(-1) =
     P(-2) = 0):
-    <a_j^dag a_k> = conj(alpha_j) alpha_k P(M - 1) / P(M) and
-    <a_j^dag a_k^dag a_l a_m> = conj(alpha_j alpha_k) alpha_l alpha_m
-    P(M - 2) / P(M).  Both are plain outer products, Hermitian to rounding.
+    <a_j^dag a_k> = conj(alpha_j) alpha_k P(M - 1) / P(M), and every pair
+    vector lies along one state, giving the rank-one pair factor
+    W[l, m, 0] = sqrt(P(M - 2) / P(M)) alpha_l alpha_m.
     The input is validated, and a TruncationWarning emitted, exactly as
     ``build_coherent`` does.
     """
     alphas, law, _, _ = _coherent_law(alphas, np.size(alphas), max_total)
     pairs = np.multiply.outer(alphas, alphas)
+    pairs = 0.5 * (pairs + pairs.T)  # symmetric bit for bit, unlike the product
     return MomentSet(law[:max_total].sum() * np.multiply.outer(alphas.conj(), alphas),
-                     law[:max(max_total - 1, 0)].sum() * np.multiply.outer(pairs.conj(), pairs))
+                     math.sqrt(law[:max(max_total - 1, 0)].sum()) * pairs[:, :, None])
 
 
 def build_path_entangled(basis: FockBasis, mode_a: int, mode_b: int) -> FockState:
@@ -277,18 +287,19 @@ def build_tmsv(
 
 
 def moments_of(state: FockState) -> MomentSet:
-    """Second and fourth moments of a Fock state by exact ladder action.
+    """Second moments and pair factor of a Fock state by exact ladder action.
 
     Every ladder vector is a gather through the raising table up[j, y] =
     rank(y + e_j), kept only on the states it can occupy: lowered[j] =
     a_j |psi> is sqrt(y_j + 1) psi(up[j, y]) for y below max_total photons,
     and a_a a_b |psi> is sqrt(y_a + 1) lowered[b](up[a, y]) for y below
     max_total - 1.  The second moments form the Gram matrix
-    <a_j^dag a_k> = <lowered[j]|lowered[k]>.  The fourth moments are the
-    Gram matrix of the pair vectors: since the annihilators commute, only
-    the N (N + 1) / 2 pairs with a <= b are built, and
-    <a_j^dag a_k^dag a_l a_m> is read from the entry of pairs (j, k) and
-    (l, m).  Both Gram matrices are made exactly Hermitian.
+    <a_j^dag a_k> = <lowered[j]|lowered[k]>, made exactly Hermitian.  Since
+    the annihilators commute, only the P = N (N + 1) / 2 pair vectors with
+    a <= b are built.  When they occupy at most P states they are the pair
+    factor themselves; otherwise the factor is the square root
+    conj(V) sqrt(lambda) of their P x P Gram matrix V diag(lambda) V^dag,
+    so its rank is min(support, P) either way.
     """
     basis = state.basis
     N = basis.num_modes
@@ -299,12 +310,13 @@ def moments_of(state: FockState) -> MomentSet:
     size = basis.sector(max(basis.max_total - 1, 0))[0]
     pairs = lowered[b_modes[:, None], up[a_modes, :size]]
     pairs *= roots[a_modes, :size]
+    if size > a_modes.size:
+        values, vectors = np.linalg.eigh(_hermitian_gram(pairs))
+        pairs = vectors.conj() * np.sqrt(np.maximum(values, 0.0))
     # pair_index[j, k] = pair_index[k, j] = row of the pair vector a_j a_k |psi>
     pair_index = np.empty((N, N), dtype=np.int64)
     pair_index[a_modes, b_modes] = pair_index[b_modes, a_modes] = np.arange(a_modes.size)
-    gram = _hermitian_gram(pairs)
-    fourth = gram[pair_index[:, :, None, None], pair_index[None, None, :, :]]
-    return MomentSet(_hermitian_gram(lowered), fourth)
+    return MomentSet(_hermitian_gram(lowered), pairs[pair_index])
 
 
 def _hermitian_gram(vectors: np.ndarray) -> np.ndarray:
@@ -317,12 +329,13 @@ def _hermitian_gram(vectors: np.ndarray) -> np.ndarray:
 def analytic_moments_tmsv(r: float, mode_a: int, mode_b: int, N: int) -> MomentSet:
     """Exact (untruncated) moments of a two-mode squeezed vacuum.
 
-    Gaussian states obey Wick factorization, so the fourth moments follow
-    from the second moments and the pair correlations:
-    F[j,k,l,m] = C[j,l] C[k,m] + C[j,m] C[k,l] + conj(A[j,k]) A[l,m]
-    with C the number correlations and A[a,b] = <a_a a_b> = sinh r cosh r on
-    the squeezed pair.  This route never touches a truncated basis, which
-    makes it an independent reference for ``moments_of``.
+    The number correlations are <a_j^dag a_j> = sinh^2 r = nbar on the
+    squeezed pair.  Gaussian states obey Wick factorization, so the pair
+    vectors a_a^2 |psi>, a_a a_b |psi> and a_b^2 |psi> are mutually
+    orthogonal, with squared norms 2 nbar^2, nbar^2 + sinh^2 r cosh^2 r and
+    2 nbar^2, and every other pair vector vanishes: the pair factor has
+    rank three.  This route never touches a truncated basis, which makes it
+    an independent reference for ``moments_of``.
     """
     if r < 0:
         raise ValueError("squeezing parameter r must be non-negative")
@@ -332,17 +345,12 @@ def analytic_moments_tmsv(r: float, mode_a: int, mode_b: int, N: int) -> MomentS
         raise ValueError("mode_a and mode_b must be distinct in-range modes")
     nbar = math.sinh(r) ** 2
     second = np.zeros((N, N), dtype=complex)
-    second[mode_a, mode_a] = nbar
-    second[mode_b, mode_b] = nbar
-    pair_corr = np.zeros((N, N), dtype=complex)
-    pair_corr[mode_a, mode_b] = math.sinh(r) * math.cosh(r)
-    pair_corr[mode_b, mode_a] = pair_corr[mode_a, mode_b]
-    fourth = (
-        np.einsum("jl,km->jklm", second, second)
-        + np.einsum("jm,kl->jklm", second, second)
-        + np.einsum("jk,lm->jklm", pair_corr.conj(), pair_corr)
-    )
-    return MomentSet(second, fourth)
+    second[mode_a, mode_a] = second[mode_b, mode_b] = nbar
+    factor = np.zeros((N, N, 3), dtype=complex)
+    factor[mode_a, mode_a, 0] = factor[mode_b, mode_b, 2] = math.sqrt(2.0) * nbar
+    factor[mode_a, mode_b, 1] = factor[mode_b, mode_a, 1] = math.hypot(
+        nbar, math.sinh(r) * math.cosh(r))
+    return MomentSet(second, factor)
 
 
 def _coherent_law(alphas, num_modes: int, max_total: int):

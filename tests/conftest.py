@@ -32,3 +32,19 @@ def dense():
         return matrix
 
     return assemble
+
+
+@pytest.fixture(scope="session")
+def fourth_moments():
+    """The N^4 tensor <a_j^dag a_k^dag a_l a_m> = sum_r conj(W[j, k, r])
+    W[l, m, r] rebuilt from a MomentSet's pair factor W, term by term in
+    real arithmetic; the engine itself never forms it."""
+
+    def rebuild(moments):
+        left = moments.pair_factor[:, :, None, None, :]
+        right = moments.pair_factor[None, None, :, :, :]
+        real = np.sum(left.real * right.real + left.imag * right.imag, axis=-1)
+        imag = np.sum(left.real * right.imag - left.imag * right.real, axis=-1)
+        return real + 1j * imag
+
+    return rebuild

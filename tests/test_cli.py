@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -174,6 +175,12 @@ class TestSpectrumCommand:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family", [["uniform"], {"a": 1}])
+    def test_non_string_family_exit_code(self, capsys, tmp_path, family):
+        cfg = {"lattice": {"family": family, "N": 3, "omega": 0.0, "g": 1.0}}
+        assert main(["spectrum", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "lattice.family:" in capsys.readouterr().err
+
 
 class TestNonFiniteConfigNumbers:
     """JSON admits NaN, Infinity and unbounded integers; each is refused with
@@ -259,6 +266,16 @@ class TestOverflowScaleChains:
 
 
 class TestPropagateCommand:
+    @pytest.mark.parametrize("family", [["uniform"], {"a": 1}])
+    def test_non_string_family_exit_code(self, capsys, tmp_path, family):
+        cfg = small_coupler_config()
+        cfg["lattice"] = {"family": family, "N": 2, "omega": 0.0, "g": 1.0}
+        out_path = tmp_path / "trace.csv"
+        argv = ["propagate", "--config", write_config(tmp_path, cfg), "--out", str(out_path)]
+        assert main(argv) == 2
+        assert "lattice.family:" in capsys.readouterr().err
+        assert not out_path.exists()
+
     def test_header_and_initial_row(self, tmp_path):
         out_path = tmp_path / "trace.csv"
         code = main(
@@ -379,6 +396,40 @@ class TestMomentsOnlyCoherentRun:
         # the Fock engine does need the basis, so the patch is in effect
         assert main(argv + [write_config(tmp_path, self.config(4, "both"))]) == 1
         assert "FockBasis built" in capsys.readouterr().err
+
+    def test_long_chain_matches_the_analytic_trace_in_little_memory(self, tmp_path):
+        # truncated coherent light keeps <n_p> = r1 |beta_p|^2 and
+        # <n_p n_q> = r2 |beta_p|^2 |beta_q|^2 + delta_pq <n_p>, with
+        # beta = U alpha and r_k = P(M - k) / P(M) of the Poisson CDF P;
+        # the rank-one pair factor needs no N^4 tensor (4.3 GB at N = 128)
+        N, M = 128, 12
+        cfg = self.config(N, "moments")
+        out_path = tmp_path / "trace.csv"
+        tracemalloc.start()
+        try:
+            code = main(["propagate", "--config", write_config(tmp_path, cfg),
+                         "--out", str(out_path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 50 * 10**6
+        table = np.loadtxt(out_path, delimiter=",", skiprows=2)
+        alphas = np.array([0.6, 0.5j] + [0.0] * (N - 2))
+        mu = float(np.vdot(alphas, alphas).real)
+        cdf = [math.fsum(math.exp(-mu) * mu**n / math.factorial(n) for n in range(K + 1))
+               for K in (M - 2, M - 1, M)]
+        r2, r1 = cdf[0] / cdf[2], cdf[1] / cdf[2]
+        z_values = np.linspace(0.0, 2.0, 11)
+        chain = np.diag(np.ones(N - 1), 1)
+        values, vectors = np.linalg.eigh(chain + chain.T)
+        U = (vectors * np.exp(-1j * np.multiply.outer(z_values, values))[:, None, :]) @ vectors.T
+        weights = np.abs(U @ alphas) ** 2
+        expected = np.stack([r2 * weights[:, p] * weights[:, q] + (p == q) * r1 * weights[:, p]
+                             for p, q in cfg["pairs"]], axis=1)
+        assert np.max(np.abs(table[:, 0] - z_values)) <= 1e-12
+        assert np.max(np.abs(table[:, 1:N + 1] - r1 * weights)) <= 1e-12
+        assert np.max(np.abs(table[:, N + 1:] - expected)) <= 1e-12
 
 
 class TestVerifyCommand:

@@ -25,27 +25,25 @@ R_HALF = float(np.arcsinh(2**-0.5))
 
 def random_moment_set(rng, N):
     """Positive-semidefinite moments of unit total photon number: the second
-    moments are a Gram matrix, the fourth moments the Gram matrix of random
-    vectors assigned to the symmetric pairs (a, b), a <= b."""
+    moments are a Gram matrix, the pair factor holds random vectors assigned
+    to the symmetric pairs (a, b), a <= b."""
     root = rng.standard_normal((N, 3)) + 1j * rng.standard_normal((N, 3))
     second = root.conj() @ root.T
     second /= np.trace(second).real
     first, other = np.triu_indices(N)
     vectors = rng.standard_normal((first.size, 4)) + 1j * rng.standard_normal((first.size, 4))
-    gram = vectors.conj() @ vectors.T / first.size
     index = np.empty((N, N), dtype=int)
     index[first, other] = index[other, first] = np.arange(first.size)
-    fourth = gram[index[:, :, None, None], index[None, None, :, :]]
-    return MomentSet(second, fourth)
+    return MomentSet(second, vectors[index] / np.sqrt(first.size))
 
 
-def single_distance_observables(U, m, pairs):
+def single_distance_observables(U, m, fourth, pairs):
     """Means and correlations through one N x N transfer matrix U, contracted
     term by term: <n_p> = sum_kl conj(U[p, k]) second[k, l] U[p, l], and
-    <n_p n_q> contracts the fourth moments with rows p and q, plus <n_p>
-    when p == q."""
+    <n_p n_q> contracts the fourth moments ``fourth`` with rows p and q,
+    plus <n_p> when p == q."""
     means = np.einsum("pk,kl,pl->p", U.conj(), m.second, U)
-    corr = [np.einsum("j,k,l,m,jklm->", U[p].conj(), U[q].conj(), U[p], U[q], m.fourth)
+    corr = [np.einsum("j,k,l,m,jklm->", U[p].conj(), U[q].conj(), U[p], U[q], fourth)
             + (p == q) * means[p] for p, q in pairs]
     return means.real, np.real(corr)
 
@@ -103,13 +101,13 @@ class TestMeanPhotons:
         # a non-Hermitian second-moment matrix leaves a large imaginary part
         broken = MomentSet(
             np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
-            np.zeros((2, 2, 2, 2), complex),
+            np.zeros((2, 2, 0)),
         )
         with pytest.raises(NumericalInconsistencyError):
             trace_observables(coupler_spectrum, broken, [0.7])
 
     def test_dimension_mismatch(self, coupler_spectrum):
-        moments = MomentSet(np.zeros((3, 3)), np.zeros((3, 3, 3, 3)))
+        moments = MomentSet(np.zeros((3, 3)), np.zeros((3, 3, 0)))
         with pytest.raises(ValueError, match="different mode counts"):
             trace_observables(coupler_spectrum, moments, [0.0])
 
@@ -186,8 +184,11 @@ class TestTraceObservables:
     def test_nan_moments_fail_closed(self, coupler_spectrum, basis2, where):
         # every check compares as `not worst <= limit`, so NaN cannot pass
         moments = moments_of(build_fock(basis2, (1, 1)))
-        arrays = {"second": np.array(moments.second), "fourth": np.array(moments.fourth)}
+        arrays = {"second": np.array(moments.second), "fourth": np.array(moments.pair_factor)}
         arrays[where][0, ...] = math.nan
+        if where == "fourth":
+            # the factor stays symmetric, so MomentSet accepts it
+            arrays[where][:, 0] = math.nan
         poisoned = MomentSet(arrays["second"], arrays["fourth"])
         with pytest.raises(NumericalInconsistencyError):
             trace_observables(coupler_spectrum, poisoned, [0.0, 0.3], [(0, 1)])
@@ -254,7 +255,8 @@ class TestTraceObservables:
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), N=st.integers(2, 8), steps=st.integers(1, 12))
-    def test_batched_sweep_matches_single_distance_functions(self, seed, N, steps):
+    def test_batched_sweep_matches_single_distance_functions(self, fourth_moments, seed, N,
+                                                             steps):
         rng = np.random.default_rng(seed)
         spec = LatticeSpec(rng.uniform(-2.0, 2.0, N), rng.uniform(0.1, 2.0, N - 1))
         spectrum = eigendecompose(spec)
@@ -263,10 +265,12 @@ class TestTraceObservables:
         every = [(p, q) for p in range(N) for q in range(N)]
         pairs = [every[i] for i in rng.choice(len(every), size=min(6, len(every)), replace=False)]
         trace = trace_observables(spectrum, moments, z_grid, pairs)
+        fourth = fourth_moments(moments)
         assert trace.pairs == tuple(pairs)
         assert np.array_equal(trace.z, z_grid)
         for i, z in enumerate(z_grid):
-            means, corr = single_distance_observables(transfer_matrix(spectrum, z), moments, pairs)
+            means, corr = single_distance_observables(transfer_matrix(spectrum, z), moments,
+                                                      fourth, pairs)
             assert np.max(np.abs(trace.means[i] - means)) < 1e-12
             assert np.max(np.abs(trace.g2[i] - corr)) < 1e-12
 
@@ -274,7 +278,7 @@ class TestTraceObservables:
         # a non-Hermitian second-moment matrix leaves a large imaginary part
         broken = MomentSet(
             np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
-            np.zeros((2, 2, 2, 2), complex),
+            np.zeros((2, 2, 0)),
         )
         with pytest.raises(NumericalInconsistencyError):
             trace_observables(coupler_spectrum, broken, [0.0, 0.7], [(0, 1)])

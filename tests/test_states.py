@@ -16,8 +16,11 @@ from latticelight import (
     build_fock,
     build_path_entangled,
     build_tmsv,
+    make_uniform,
 )
-from latticelight.states import analytic_moments_tmsv, coherent_moments, moments_of
+from latticelight.moments import trace_observables
+from latticelight.spectral import eigendecompose
+from latticelight.states import MomentSet, analytic_moments_tmsv, coherent_moments, moments_of
 
 R_HALF = float(np.arcsinh(2**-0.5))  # half a photon per squeezed mode
 
@@ -263,32 +266,32 @@ class TestBuildTmsv:
 
 
 class TestMomentsOf:
-    def test_single_photon(self, basis2):
+    def test_single_photon(self, fourth_moments, basis2):
         moments = moments_of(build_fock(basis2, (1, 0)))
         assert np.allclose(moments.second, [[1.0, 0.0], [0.0, 0.0]], atol=1e-15)
-        assert np.max(np.abs(moments.fourth)) == 0.0
+        assert np.max(np.abs(fourth_moments(moments))) == 0.0
 
-    def test_path_entangled(self, basis2):
+    def test_path_entangled(self, fourth_moments, basis2):
         moments = moments_of(build_path_entangled(basis2, 0, 1))
         assert np.allclose(
             moments.second, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15
         )
-        assert np.max(np.abs(moments.fourth)) == 0.0
+        assert np.max(np.abs(fourth_moments(moments))) == 0.0
 
-    def test_coherent_eigenvalue_property(self, basis2):
+    def test_coherent_eigenvalue_property(self, fourth_moments, basis2):
         moments = moments_of(build_coherent(basis2, [1.0, 0.0]))
         assert abs(moments.second[0, 0] - 1.0) < 1e-8
-        assert abs(moments.fourth[0, 0, 0, 0] - 1.0) < 1e-7
+        assert abs(fourth_moments(moments)[0, 0, 0, 0] - 1.0) < 1e-7
 
-    def test_fourth_moment_symmetries(self, basis2):
+    def test_fourth_moment_symmetries(self, fourth_moments, basis2):
         with pytest.warns(TruncationWarning):
             state = build_tmsv(basis2, 0, 1, R_HALF)
-        fourth = moments_of(state).fourth
+        fourth = fourth_moments(moments_of(state))
         assert np.array_equal(fourth, fourth.transpose(1, 0, 2, 3))
         assert np.array_equal(fourth, fourth.transpose(0, 1, 3, 2))
         assert np.array_equal(fourth, fourth.transpose(2, 3, 0, 1).conj())
 
-    def test_full_size_coherent_matches_product_form(self):
+    def test_full_size_coherent_matches_product_form(self, fourth_moments):
         # 8 guides, n_max 12: total mean 0.1 leaves a Poisson tail below 1e-20
         basis = FockBasis(8, 12)
         rng = np.random.default_rng(8)
@@ -297,7 +300,7 @@ class TestMomentsOf:
         tail = math.fsum(math.exp(-0.1) * 0.1**n / math.factorial(n) for n in range(13, 40))
         assert tail < 1e-20
         moments = moments_of(build_coherent(basis, alphas))
-        second, fourth = moments.second, moments.fourth
+        second, fourth = moments.second, fourth_moments(moments)
         assert np.max(np.abs(second - np.outer(alphas.conj(), alphas))) < 1e-12
         pair = np.outer(alphas, alphas)
         expected = np.einsum("jk,lm->jklm", pair.conj(), pair)
@@ -357,9 +360,46 @@ def dict_moments(basis, amplitudes):
     return second, fourth
 
 
+class TestMomentSet:
+    def test_rejects_a_factor_of_the_wrong_shape(self):
+        for factor in (np.zeros((2, 2)), np.zeros((2, 3, 1)), np.zeros((2, 2, 2, 2))):
+            with pytest.raises(ValueError, match="N x N x r"):
+                MomentSet(np.eye(2), factor)
+
+    def test_rejects_an_asymmetric_factor(self):
+        factor = np.zeros((2, 2, 1), dtype=complex)
+        factor[0, 1, 0] = 1.0
+        with pytest.raises(ValueError, match="symmetric"):
+            MomentSet(np.eye(2), factor)
+        factor[1, 0, 0] = 1.0
+        assert MomentSet(np.eye(2), factor).pair_factor.shape == (2, 2, 1)
+
+    def test_single_photon_has_a_rank_zero_factor(self, fourth_moments):
+        # with n_max = 1 no state is left for the pair vectors
+        moments = moments_of(build_fock(FockBasis(3, 1), (0, 1, 0)))
+        assert moments.pair_factor.shape == (3, 3, 0)
+        assert np.max(np.abs(fourth_moments(moments))) == 0.0
+        spectrum = eigendecompose(make_uniform(3, 0.0, 1.0))
+        trace = trace_observables(spectrum, moments, np.linspace(0.0, 3.0, 7), [(0, 2), (1, 1)])
+        assert np.max(np.abs(trace.means.sum(axis=1) - 1.0)) <= 1e-14
+        assert np.max(np.abs(trace.g2[:, 0])) == 0.0
+        assert np.max(np.abs(trace.g2[:, 1] - trace.means[:, 1])) == 0.0
+
+    def test_factor_ranks(self):
+        # coherent light has one pair direction, the squeezed vacuum three,
+        # and a deep basis caps the ladder factor at the P = N (N + 1) / 2 pairs
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            assert coherent_moments([0.3, 0.2j, 0.1], 12).pair_factor.shape == (3, 3, 1)
+            assert analytic_moments_tmsv(R_HALF, 0, 2, 3).pair_factor.shape == (3, 3, 3)
+            assert moments_of(build_fock(FockBasis(3, 2), (1, 1, 0))).pair_factor.shape == (3, 3, 1)
+            assert moments_of(build_tmsv(FockBasis(3, 12), 0, 1, R_HALF)).pair_factor.shape == (
+                3, 3, 6)
+
+
 class TestMomentsOfAgainstReferences:
     @pytest.mark.parametrize("N,n_max", [(N, n) for N in range(1, 6) for n in range(6)])
-    def test_matches_dict_reference(self, N, n_max):
+    def test_matches_dict_reference(self, fourth_moments, N, n_max):
         # n_max 0 and 1 leave no state for the pair vectors
         basis = FockBasis(N, n_max)
         rng = np.random.default_rng(100 * N + n_max)
@@ -368,7 +408,7 @@ class TestMomentsOfAgainstReferences:
         moments = moments_of(FockState(basis, amplitudes))
         second, fourth = dict_moments(basis, amplitudes)
         assert np.max(np.abs(moments.second - second), initial=0.0) < 1e-13
-        assert np.max(np.abs(moments.fourth - fourth), initial=0.0) < 1e-13
+        assert np.max(np.abs(fourth_moments(moments) - fourth), initial=0.0) < 1e-13
 
     def test_ladder_vectors_stay_off_the_full_basis(self):
         # with full-basis ladder vectors the peak was above 160 MB
@@ -396,7 +436,8 @@ class TestCoherentMoments:
     @pytest.mark.parametrize("N", [1, 2, 4, 8])
     @pytest.mark.parametrize("max_total", [1, 2, 3, 12])
     @pytest.mark.parametrize("mu", [0.0, 0.5, 1.5])
-    def test_matches_the_ladder_action_on_the_truncated_state(self, N, max_total, mu):
+    def test_matches_the_ladder_action_on_the_truncated_state(self, fourth_moments, N,
+                                                              max_total, mu):
         alphas = coherent_amplitudes(N, mu)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -407,16 +448,16 @@ class TestCoherentMoments:
         assert len(messages) == (2 if mu > 0 and max_total <= 3 else 0)
         assert len(set(messages)) <= 1
         assert np.max(np.abs(closed.second - ladder.second)) <= 1e-14
-        assert np.max(np.abs(closed.fourth - ladder.fourth)) <= 1e-14
+        assert np.max(np.abs(fourth_moments(closed) - fourth_moments(ladder))) <= 1e-14
 
-    def test_vacuum_has_no_moments(self):
+    def test_vacuum_has_no_moments(self, fourth_moments):
         moments = coherent_moments([0.0, 0.0, 0.0], 12)
         assert np.max(np.abs(moments.second)) == 0.0
-        assert np.max(np.abs(moments.fourth)) == 0.0
+        assert np.max(np.abs(fourth_moments(moments))) == 0.0
 
-    def test_moments_are_hermitian(self):
+    def test_moments_are_hermitian(self, fourth_moments):
         moments = coherent_moments(coherent_amplitudes(5, 1.0), 12)
-        fourth = moments.fourth.reshape(25, 25)
+        fourth = fourth_moments(moments).reshape(25, 25)
         assert np.max(np.abs(moments.second - moments.second.conj().T)) <= 1e-16
         assert np.max(np.abs(fourth - fourth.conj().T)) <= 1e-16
         assert moments.total_photons() == pytest.approx(1.0, abs=1e-8)
@@ -445,24 +486,24 @@ class TestCoherentMoments:
 
 
 class TestAnalyticTmsvMoments:
-    def test_zero_squeezing(self):
+    def test_zero_squeezing(self, fourth_moments):
         moments = analytic_moments_tmsv(0.0, 0, 1, 2)
         assert np.max(np.abs(moments.second)) == 0.0
-        assert np.max(np.abs(moments.fourth)) == 0.0
+        assert np.max(np.abs(fourth_moments(moments))) == 0.0
 
-    def test_half_photon_values(self):
+    def test_half_photon_values(self, fourth_moments):
         moments = analytic_moments_tmsv(R_HALF, 0, 1, 2)
         assert moments.second[0, 0] == pytest.approx(0.5, abs=1e-14)
         assert moments.second[1, 1] == pytest.approx(0.5, abs=1e-14)
         # pair correlation sinh(r) cosh(r) = sqrt(3)/2 for this squeezing
-        assert moments.fourth[0, 1, 0, 1].real == pytest.approx(1.0, abs=1e-14)
+        assert fourth_moments(moments)[0, 1, 0, 1].real == pytest.approx(1.0, abs=1e-14)
 
-    def test_pair_number_correlation_matches_brute_force(self):
+    def test_pair_number_correlation_matches_brute_force(self, fourth_moments):
         # direct series sum over the pair expansion: sum_j j^2 (1-x) x^j
         x = math.tanh(R_HALF) ** 2
         brute_force = math.fsum(j * j * (1.0 - x) * x**j for j in range(400))
         moments = analytic_moments_tmsv(R_HALF, 0, 1, 2)
-        assert moments.fourth[0, 1, 0, 1].real == pytest.approx(
+        assert fourth_moments(moments)[0, 1, 0, 1].real == pytest.approx(
             brute_force, abs=1e-12
         )
 
@@ -480,7 +521,7 @@ class TestAnalyticTmsvMoments:
 
 
 class TestTruncatedVersusAnalytic:
-    def test_truncated_moments_approach_exact_ones(self, basis2):
+    def test_truncated_moments_approach_exact_ones(self, fourth_moments, basis2):
         with pytest.warns(TruncationWarning):
             state = build_tmsv(basis2, 0, 1, R_HALF)
         truncated = moments_of(state)
@@ -489,12 +530,12 @@ class TestTruncatedVersusAnalytic:
         assert np.max(np.abs(truncated.second - exact.second)) < 10.0 * tail
         # photon-number-squared weighting amplifies the truncation tail by
         # the square of the kept pair count
-        assert np.max(np.abs(truncated.fourth - exact.fourth)) < 100.0 * tail
+        assert np.max(np.abs(fourth_moments(truncated) - fourth_moments(exact))) < 100.0 * tail
 
-    def test_agreement_tightens_with_depth(self):
+    def test_agreement_tightens_with_depth(self, fourth_moments):
         basis = FockBasis(2, 40)
         state = build_tmsv(basis, 0, 1, R_HALF)
         truncated = moments_of(state)
         exact = analytic_moments_tmsv(R_HALF, 0, 1, 2)
         assert np.max(np.abs(truncated.second - exact.second)) < 1e-7
-        assert np.max(np.abs(truncated.fourth - exact.fourth)) < 1e-6
+        assert np.max(np.abs(fourth_moments(truncated) - fourth_moments(exact))) < 1e-6
