@@ -2,8 +2,8 @@
 photonic lattices.
 
 Two independent engines propagate the same initial states: a
-Heisenberg-picture engine that contracts initial field moments with the
-single-excitation transfer matrix, and a Schroedinger-picture engine that
+Heisenberg-picture engine that evolves the mode vectors of the initial
+field moments in the chain's eigenbasis, and a Schroedinger-picture engine that
 evolves truncated Fock amplitudes by a Chebyshev expansion over sparse
 photon-number-sector hop arrays, with no eigensolve.  Their agreement on mean
 photon numbers and photon-number correlations is the package's built-in

@@ -1,13 +1,16 @@
 """Heisenberg-picture propagation engine.
 
-Mode operators evolve linearly through the transfer matrix, a_p(z) =
-sum_k U[p, k] a_k(0), so mean photon numbers contract the initial second
-moments with one row of U, and photon-number correlations take the squared
-norm of the evolved pair vector a_p a_q |psi>, which two rows of U make of
-the initial pair factor.  The correlation <n_p n_q> is computed exactly as
-written, i.e. including the commutator term delta_{p,q} <n_p> rather than
-its normally-ordered part alone.  ``trace_observables`` is the engine's one
-readout, for a single distance as for a whole grid.
+Mode operators evolve linearly, a_p(z) = sum_k U[p, k] a_k(0), through the
+transfer matrix U(z) = V^T exp(-i Lambda z) V of the chain.  The engine
+never forms U: it evolves the few mode vectors of a ``MomentSet`` in the
+chain's eigenbasis, where a mode only gains a phase.  Mean photon numbers
+are the squared evolved second-moment vectors, and photon-number
+correlations take the squared norm of the evolved pair vector a_p a_q |psi>,
+which the evolved dyads of the pair factor give at the requested modes.
+The correlation <n_p n_q> is computed exactly as written, i.e. including the
+commutator term delta_{p,q} <n_p> rather than its normally-ordered part
+alone.  ``trace_observables`` is the engine's one readout, for a single
+distance as for a whole grid.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Spectrum, transfer_matrix
+from .spectral import Spectrum
 from .states import MomentSet
 
 __all__ = [
@@ -59,9 +62,9 @@ def check_sweep(z_grid, pairs, num_modes: int):
     z_values = np.asarray(z_grid, dtype=float)
     if z_values.ndim != 1:
         raise ValueError("z_grid must be one-dimensional")
-    if not np.all(np.isfinite(z_values) & (z_values >= 0)):
+    if not (np.isfinite(z_values) & (z_values >= 0)).all():
         raise ValueError("propagation distance z must be finite and >= 0")
-    if np.any(np.diff(z_values) < 0):
+    if (z_values[1:] < z_values[:-1]).any():
         raise ValueError("z_grid must be sorted ascending")
     pair_list = tuple((int(p), int(q)) for p, q in pairs)
     if not all(0 <= j < num_modes for pair in pair_list for j in pair):
@@ -77,64 +80,57 @@ def trace_observables(
 ) -> Trace:
     """Mean photon numbers and correlations along a propagation-distance grid.
 
-    The transfer matrices of the whole grid form one [Z, N, N] stack, which
-    is contracted with the second moments for the means.  A correlation is
-    the squared norm <n_p n_q> = sum_r |sum_lm U[p, l] U[q, m] W[l, m, r]|^2
-    of the evolved pair vector (plus <n_p> when p == q), evaluated in the
-    eigenbasis for the requested pairs only.  The grid and ``pairs``
-    pass ``check_sweep``; ``pairs`` selects the (p, q) correlations (none
-    yields means only).  Imaginary means above 1e-8, means below -1e-10, a
-    total photon number that drifts by more than 1e-10 and non-finite
+    In the chain's eigenbasis a mode only gains a phase, so each mode vector
+    of ``m`` evolves as U(z) y = V^T (exp(-i lambda z) * V y), and the
+    means are <n_p> = sum_t |(U y_t)_p|^2.  A correlation is the squared
+    norm <n_p n_q> = sum_r |A_r|^2 of the evolved pair vector (plus <n_p>
+    when p == q), with A_r = sum_s c[s, r] ((U x_s)_p (U x'_s)_q +
+    (U x'_s)_p (U x_s)_q) / 2 read from the dyads at the requested modes
+    only.  The grid and ``pairs`` pass ``check_sweep``; ``pairs`` selects
+    the (p, q) correlations (none yields means only).  Means below -1e-10,
+    a total photon number that drifts by more than 1e-10 and non-finite
     correlations raise ``NumericalInconsistencyError``.
     """
     N = spectrum.size
     if N != m.num_modes:
-        raise ValueError("transfer matrix and moments have different mode counts")
+        raise ValueError("spectrum and moments have different mode counts")
     z_values, pair_list = check_sweep(z_grid, pairs, N)
-    a, b = np.sort(np.array(pair_list, dtype=np.int64).reshape(-1, 2), axis=1).T
+    V = spectrum.eigenvectors
+    phases = np.exp(-1j * np.multiply.outer(z_values, spectrum.eigenvalues))
 
-    U = transfer_matrix(spectrum, z_values)
-    # <n_p> = sum_kl conj(U[p, k]) second[k, l] U[p, l]
-    means = np.sum((U.conj() @ m.second) * U, axis=-1)
-    imag = np.max(np.abs(means.imag), axis=1, initial=0.0)
-    means = means.real.copy()
+    def evolve(vectors, columns):
+        """(U(z) y)_p for every z, row y of ``vectors`` and p in ``columns``,
+        as a [Z, rows, columns] array."""
+        spread = phases[:, None, :] * (vectors @ V.T)
+        ends = V[:, columns]
+        return (spread.reshape(-1, N) @ ends).reshape(*spread.shape[:2], ends.shape[1])
+
+    evolved = evolve(m.vectors, slice(None))
+    means = (evolved.real**2 + evolved.imag**2).sum(axis=1)
 
     corr = np.empty((z_values.size, 0))
     if pair_list:
-        corr = _pair_norms(spectrum, m.pair_factor, z_values, a, b)
+        a, b = np.sort(np.array(pair_list, dtype=np.int64), axis=1).T
+        codes, index = np.unique(a * N + b, return_inverse=True)
+        modes, at = np.unique(np.concatenate((codes // N, codes % N)), return_inverse=True)
+        S = m.dyads.shape[0]
+        evolved = evolve(m.dyads.reshape(2 * S, N), modes).reshape(z_values.size, S, 2, modes.size)
+        left, right = evolved[:, :, 0], evolved[:, :, 1]
+        p, q = at.reshape(2, -1)
+        pair = left[..., p] * right[..., q] + right[..., p] * left[..., q]
+        amp = np.tensordot(pair, 0.5 * m.weights, axes=(1, 0))
+        corr = np.sum(amp.real**2 + amp.imag**2, axis=-1)[:, index]
         # for p == q the commutator adds <n_p> on top of the normally-ordered part
         corr += np.where(a == b, means[:, a], 0.0)
 
     lowest = means.min(axis=1)
     drift = np.abs(means.sum(axis=1) - m.total_photons())
-    largest = np.max(corr, axis=1, initial=0.0)
-    for values, bad, what in (
-        (imag, ~(imag <= 1e-8), "mean photon numbers acquired imaginary part"),
-        (lowest, ~(lowest >= -1e-10), "negative mean photon number"),
-        (drift, ~(drift <= 1e-10), "total photon number drifted by"),
-        (largest, ~(largest < np.inf), "non-finite pair correlation"),
-    ):
-        if np.any(bad):
-            i = np.argmax(bad)
-            raise NumericalInconsistencyError(f"{what} {values[i]:.3e} at z={z_values[i]}")
+    largest = corr.max(axis=1, initial=0.0)
+    bad = ~np.array([lowest >= -1e-10, drift <= 1e-10, largest < np.inf])
+    if bad.any():
+        k, i = divmod(int(bad.argmax()), z_values.size)
+        what = ("negative mean photon number", "total photon number drifted by",
+                "non-finite pair correlation")[k]
+        value = (lowest, drift, largest)[k][i]
+        raise NumericalInconsistencyError(f"{what} {value:.3e} at z={z_values[i]}")
     return Trace(z_values, means, corr, pair_list, np.empty((z_values.size, 0)), ())
-
-
-def _pair_norms(spectrum: Spectrum, factor: np.ndarray, z_values, a, b) -> np.ndarray:
-    """<a_p^dag a_q^dag a_p a_q> at every z, for p, q = a[k], b[k] (a <= b).
-
-    In the chain's eigenbasis a mode only gains a phase, so with the pair
-    factor taken there, rotated_r = V W_r V^T, the evolved pair vector of
-    (p, q) is amp[z, r] = sum_cd e^{-i (lambda_c + lambda_d) z} V[c, p]
-    V[d, q] rotated[c, d, r]: one product of a [Z, N^2] phase table with
-    [N^2, pairs * r] weights, for the distinct pairs only.
-    """
-    N = spectrum.size
-    codes, index = np.unique(a * N + b, return_inverse=True)
-    V = spectrum.eigenvectors
-    rotated = (V @ factor.transpose(2, 0, 1) @ V.T).transpose(1, 2, 0)
-    weights = (V[:, None, codes // N] * V[None, :, codes % N])[..., None] * rotated[:, :, None]
-    phases = np.exp(-1j * np.multiply.outer(z_values, spectrum.eigenvalues))
-    table = (phases[:, :, None] * phases[:, None, :]).reshape(z_values.size, N * N)
-    amp = (table @ weights.reshape(N * N, -1)).reshape(z_values.size, codes.size, factor.shape[-1])
-    return np.sum(amp.real**2 + amp.imag**2, axis=-1)[:, index]

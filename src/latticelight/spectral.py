@@ -1,15 +1,16 @@
 """Eigen-decomposition of the tridiagonal coupling matrix and the
 single-excitation transfer matrices U(z) = V^T exp(-i Lambda z) V.
 
-The coupling matrix of a nearest-neighbor chain is a real symmetric Jacobi
-matrix.  Its eigenvectors are orthogonal-polynomial values,
+The moments engine evolves mode vectors in the eigenbasis and never forms
+U; ``transfer_matrix`` serves ``verify``'s unitarity checks.  The coupling
+matrix of a nearest-neighbor chain is a real symmetric Jacobi matrix.  Its
+eigenvectors are orthogonal-polynomial values,
 v_k(lambda) = v_0(lambda) P_k(lambda), which is what gives the paper's
 families their closed-form propagators.  The eigenpairs come from LAPACK's
 symmetric solver (``numpy.linalg.eigh``), which scales the matrix internally,
 so chains with couplings anywhere in the floating-point range are solved.
-Only the moments engine uses this module's eigenpairs: the Fock engine makes
-no eigendecomposition, and ``verify`` checks the spectra against closed forms
-that need no eigensolver.
+The Fock engine makes no eigendecomposition, and ``verify`` checks the
+spectra against closed forms that need no eigensolver.
 """
 
 from __future__ import annotations

@@ -31,6 +31,10 @@ __all__ = [
 
 # discarded probability above which a truncated state warns
 _TAIL_BOUND = 1e-8
+# Gram eigenvalues at or below this fraction of the largest are rounding
+# noise (about 1e-15 for a 36 x 36 pair Gram), dropped from a moment factor;
+# each dropped one moves a moment by at most its own size
+_RANK_TOL = 1e-13
 
 
 class TruncationWarning(UserWarning):
@@ -171,37 +175,53 @@ class FockState:
 
 @dataclass(frozen=True, eq=False)
 class MomentSet:
-    """Second moments <a_j^dag a_k> and the fourth moments as a pair factor.
+    """Second and fourth moments of a state, held as mode vectors.
 
-    ``pair_factor[l, m, :]`` holds the components W[l, m, r] of the pair
-    vector a_l a_m |psi> in an orthonormal frame of r vectors, so that
-    <a_j^dag a_k^dag a_l a_m> = sum_r conj(W[j, k, r]) W[l, m, r].  Its
-    shape is (N, N, r), and since the annihilators commute it is symmetric
-    in its first two axes, bit for bit.
+    The T rows y_t of ``vectors`` give the second moments
+    <a_j^dag a_k> = sum_t conj(y_t[j]) y_t[k].  The fourth moments are
+    <a_j^dag a_k^dag a_l a_m> = sum_r conj(W_r[j, k]) W_r[l, m], where the
+    pair factor W_r = sum_s c[s, r] (x_s (x) x'_s + x'_s (x) x_s) / 2 is
+    made of S dyads (x_s, x'_s) = ``dyads[s]`` with coefficients
+    c = ``weights``; it is symmetric, as the annihilators commute.  The
+    shapes are (T, N), (S, 2, N) and (S, r), and mismatched shapes are
+    refused.  Entries are not checked here: a non-finite moment fails the
+    readout instead.
     """
 
-    second: np.ndarray
-    pair_factor: np.ndarray
+    vectors: np.ndarray
+    dyads: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self):
-        second = np.asarray(self.second, dtype=complex)
-        factor = np.asarray(self.pair_factor, dtype=complex)
-        n = second.shape[0]
-        if second.shape != (n, n) or factor.ndim != 3 or factor.shape[:2] != (n, n):
-            raise ValueError("moment arrays must be N x N and N x N x r")
-        if not np.array_equal(factor, factor.transpose(1, 0, 2), equal_nan=True):
-            raise ValueError("pair factor must be symmetric in its first two axes")
-        second.setflags(write=False)
-        factor.setflags(write=False)
-        object.__setattr__(self, "second", second)
-        object.__setattr__(self, "pair_factor", factor)
+        arrays = {name: np.asarray(getattr(self, name), dtype=complex)
+                  for name in ("vectors", "dyads", "weights")}
+        vectors, dyads, weights = arrays.values()
+        if (vectors.ndim != 2 or dyads.ndim != 3 or dyads.shape[1:] != (2, vectors.shape[1])
+                or weights.ndim != 2 or weights.shape[0] != dyads.shape[0]):
+            raise ValueError("moment arrays must be T x N, S x 2 x N and S x r")
+        for name, array in arrays.items():
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def num_modes(self) -> int:
-        return self.second.shape[0]
+        return self.vectors.shape[1]
+
+    @property
+    def second(self) -> np.ndarray:
+        """The N x N second moments, Hermitian bit for bit."""
+        return _hermitian_gram(self.vectors.T)
+
+    @property
+    def pair_factor(self) -> np.ndarray:
+        """The pair factor as an (N, N, r) array, symmetric in its first two
+        axes bit for bit."""
+        left, right = self.dyads[:, 0], self.dyads[:, 1]
+        factor = np.tensordot(left[:, :, None] * right[:, None, :], self.weights, axes=(0, 0))
+        return 0.5 * (factor + factor.transpose(1, 0, 2))
 
     def total_photons(self) -> float:
-        return float(np.trace(self.second).real)
+        return float(np.vdot(self.vectors, self.vectors).real)
 
 
 def build_fock(basis: FockBasis, occupation) -> FockState:
@@ -238,17 +258,17 @@ def coherent_moments(alphas, max_total: int) -> MomentSet:
     totals up to M = ``max_total``.  On totals up to M - k it still obeys
     a_l a_m psi = alpha_l alpha_m psi, so with P the Poisson CDF (and P(-1) =
     P(-2) = 0):
-    <a_j^dag a_k> = conj(alpha_j) alpha_k P(M - 1) / P(M), and every pair
-    vector lies along one state, giving the rank-one pair factor
-    W[l, m, 0] = sqrt(P(M - 2) / P(M)) alpha_l alpha_m.
+    <a_j^dag a_k> = conj(alpha_j) alpha_k P(M - 1) / P(M), the one mode
+    vector sqrt(P(M - 1) / P(M)) alpha, and every pair vector lies along one
+    state, giving the pair factor of one dyad alpha (x) alpha with
+    coefficient sqrt(P(M - 2) / P(M)).
     The input is validated, and a TruncationWarning emitted, exactly as
     ``build_coherent`` does.
     """
     alphas, law, _, _ = _coherent_law(alphas, np.size(alphas), max_total)
-    pairs = np.multiply.outer(alphas, alphas)
-    pairs = 0.5 * (pairs + pairs.T)  # symmetric bit for bit, unlike the product
-    return MomentSet(law[:max_total].sum() * np.multiply.outer(alphas.conj(), alphas),
-                     math.sqrt(law[:max(max_total - 1, 0)].sum()) * pairs[:, :, None])
+    return MomentSet(math.sqrt(law[:max_total].sum()) * alphas[None, :],
+                     np.stack((alphas, alphas))[None],
+                     [[math.sqrt(law[:max(max_total - 1, 0)].sum())]])
 
 
 def build_path_entangled(basis: FockBasis, mode_a: int, mode_b: int) -> FockState:
@@ -293,13 +313,12 @@ def moments_of(state: FockState) -> MomentSet:
     rank(y + e_j), kept only on the states it can occupy: lowered[j] =
     a_j |psi> is sqrt(y_j + 1) psi(up[j, y]) for y below max_total photons,
     and a_a a_b |psi> is sqrt(y_a + 1) lowered[b](up[a, y]) for y below
-    max_total - 1.  The second moments form the Gram matrix
-    <a_j^dag a_k> = <lowered[j]|lowered[k]>, made exactly Hermitian.  Since
-    the annihilators commute, only the P = N (N + 1) / 2 pair vectors with
-    a <= b are built.  When they occupy at most P states they are the pair
-    factor themselves; otherwise the factor is the square root
-    conj(V) sqrt(lambda) of their P x P Gram matrix V diag(lambda) V^dag,
-    so its rank is min(support, P) either way.
+    max_total - 1.  Both sets are factored by one rule (``_factor``): the
+    N lowered vectors give the second moments
+    <a_j^dag a_k> = <lowered[j]|lowered[k]>, and, since the annihilators
+    commute, the P = N (N + 1) / 2 pair vectors with a <= b give the pair
+    factor W[a, b, r].  Each dense slice W_r is held as the dyads
+    e_l (x) W_r[l, :] of its nonzero rows.
     """
     basis = state.basis
     N = basis.num_modes
@@ -310,13 +329,27 @@ def moments_of(state: FockState) -> MomentSet:
     size = basis.sector(max(basis.max_total - 1, 0))[0]
     pairs = lowered[b_modes[:, None], up[a_modes, :size]]
     pairs *= roots[a_modes, :size]
-    if size > a_modes.size:
-        values, vectors = np.linalg.eigh(_hermitian_gram(pairs))
-        pairs = vectors.conj() * np.sqrt(np.maximum(values, 0.0))
+    factor = _factor(pairs)
     # pair_index[j, k] = pair_index[k, j] = row of the pair vector a_j a_k |psi>
     pair_index = np.empty((N, N), dtype=np.int64)
     pair_index[a_modes, b_modes] = pair_index[b_modes, a_modes] = np.arange(a_modes.size)
-    return MomentSet(_hermitian_gram(lowered), pairs[pair_index])
+    # row r * N + l holds W_r[l, :]
+    rows = factor[pair_index].transpose(2, 0, 1).reshape(-1, N)
+    kept = np.flatnonzero(np.any(rows != 0, axis=1))
+    dyads = np.stack((np.eye(N)[kept % N], rows[kept]), axis=1)
+    return MomentSet(_factor(lowered).T, dyads, np.eye(factor.shape[1])[kept // N])
+
+
+def _factor(vectors: np.ndarray) -> np.ndarray:
+    """F with sum_t conj(F[a, t]) F[b, t] = <vectors[a]|vectors[b]>: the rows
+    themselves when they occupy at most as many states as there are rows,
+    else conj(Q) sqrt(lambda) from the Gram matrix Q diag(lambda) Q^dag,
+    dropping eigenvalues at or below ``_RANK_TOL`` times the largest."""
+    if vectors.shape[1] <= vectors.shape[0]:
+        return vectors
+    values, basis = np.linalg.eigh(_hermitian_gram(vectors))
+    kept = values > _RANK_TOL * max(values[-1], 0.0)
+    return basis[:, kept].conj() * np.sqrt(values[kept])
 
 
 def _hermitian_gram(vectors: np.ndarray) -> np.ndarray:
@@ -334,8 +367,10 @@ def analytic_moments_tmsv(r: float, mode_a: int, mode_b: int, N: int) -> MomentS
     vectors a_a^2 |psi>, a_a a_b |psi> and a_b^2 |psi> are mutually
     orthogonal, with squared norms 2 nbar^2, nbar^2 + sinh^2 r cosh^2 r and
     2 nbar^2, and every other pair vector vanishes: the pair factor has
-    rank three.  This route never touches a truncated basis, which makes it
-    an independent reference for ``moments_of``.
+    rank three, with the dyads e_a (x) e_a, e_a (x) e_b (half its
+    coefficient on each of its two entries) and e_b (x) e_b.  This route
+    never touches a truncated basis, which makes it an independent
+    reference for ``moments_of``.
     """
     if r < 0:
         raise ValueError("squeezing parameter r must be non-negative")
@@ -344,13 +379,11 @@ def analytic_moments_tmsv(r: float, mode_a: int, mode_b: int, N: int) -> MomentS
     if not (0 <= mode_a < N and 0 <= mode_b < N) or mode_a == mode_b:
         raise ValueError("mode_a and mode_b must be distinct in-range modes")
     nbar = math.sinh(r) ** 2
-    second = np.zeros((N, N), dtype=complex)
-    second[mode_a, mode_a] = second[mode_b, mode_b] = nbar
-    factor = np.zeros((N, N, 3), dtype=complex)
-    factor[mode_a, mode_a, 0] = factor[mode_b, mode_b, 2] = math.sqrt(2.0) * nbar
-    factor[mode_a, mode_b, 1] = factor[mode_b, mode_a, 1] = math.hypot(
-        nbar, math.sinh(r) * math.cosh(r))
-    return MomentSet(second, factor)
+    unit = np.eye(N)
+    pair = 2.0 * math.hypot(nbar, math.sinh(r) * math.cosh(r))
+    return MomentSet(math.sinh(r) * unit[[mode_a, mode_b]],
+                     unit[[[mode_a, mode_a], [mode_a, mode_b], [mode_b, mode_b]]],
+                     np.diag([math.sqrt(2.0) * nbar, pair, math.sqrt(2.0) * nbar]))
 
 
 def _coherent_law(alphas, num_modes: int, max_total: int):

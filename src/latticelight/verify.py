@@ -323,10 +323,10 @@ def check_conservation_unitarity() -> list[CheckResult]:
         )
         group_err = max(group_err, float(np.max(np.abs(U1 @ U2 - U12))))
 
+        # random second moments root^dag root of unit trace, as mode vectors
         root = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-        second = root.conj().T @ root
-        second /= np.trace(second).real
-        mset = MomentSet(second, np.zeros((N, N, 0)))
+        mset = MomentSet(root / math.sqrt(np.vdot(root, root).real),
+                         np.zeros((0, 2, N)), np.zeros((0, 0)))
         try:
             totals = trace_observables(spectrum, mset, np.sort([z1, z2])).means.sum(axis=1)
         except NumericalInconsistencyError as err:

@@ -1,6 +1,8 @@
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 import latticelight
-from latticelight import runner
+from latticelight import runner, spectral
 from latticelight.cli import main
 from latticelight.runner import (
     ConfigError,
@@ -430,6 +432,87 @@ class TestMomentsOnlyCoherentRun:
         assert np.max(np.abs(table[:, 0] - z_values)) <= 1e-12
         assert np.max(np.abs(table[:, 1:N + 1] - r1 * weights)) <= 1e-12
         assert np.max(np.abs(table[:, N + 1:] - expected)) <= 1e-12
+
+    def test_moments_engine_forms_no_transfer_matrix(self, tmp_path, monkeypatch):
+        # the moments engine evolves mode vectors; a [Z, N, N] stack of
+        # transfer matrices is for verify's unitarity checks alone
+        def refuse(*args):
+            raise AssertionError("transfer matrix formed")
+
+        for info in pkgutil.iter_modules(latticelight.__path__):
+            module = importlib.import_module(f"latticelight.{info.name}")
+            if hasattr(module, "transfer_matrix"):
+                monkeypatch.setattr(module, "transfer_matrix", refuse)
+        assert spectral.transfer_matrix is refuse
+        argv = ["propagate", "--out", str(tmp_path / "trace.csv"), "--config"]
+        assert main(argv + [write_config(tmp_path, self.config(32, "moments"))]) == 0
+        for name in PRESETS:
+            config = preset(name)
+            assert config["engine"] == "both"
+            assert main(argv + [write_config(tmp_path, config)]) == 0
+
+
+class TestThousandGuideChain:
+    """Moments-only runs on a uniform chain of N = 1000 guides, each with all
+    means and 100 adjacent pairs over 201 z, checked against the chain's
+    closed-form propagator: eigenvectors sqrt(2 / (N + 1)) sin(j k pi /
+    (N + 1)) and eigenvalues omega + 2 g cos(k pi / (N + 1)), k = 1 .. N."""
+
+    N, OMEGA = 1000, 0.3
+    Z_VALUES = np.linspace(0.0, 20.0, 201)
+    PAIRS = [(p, p + 1) for p in range(250, 350)]
+
+    def columns(self, modes, z):
+        """Columns ``modes`` of the transfer matrix U(z), one row per mode."""
+        k = np.arange(1, self.N + 1)
+        vectors = math.sqrt(2.0 / (self.N + 1)) * np.sin(np.outer(k, k) * math.pi / (self.N + 1))
+        phases = np.exp(-1j * (self.OMEGA + 2.0 * np.cos(k * math.pi / (self.N + 1))) * z)
+        return (vectors[:, modes] * phases[:, None]).T @ vectors
+
+    @pytest.mark.parametrize("kind", ["fock", "path_entangled", "coherent"])
+    def test_runs_in_little_memory_and_follows_the_closed_form(self, tmp_path, kind):
+        N = self.N
+        state, n_max = {
+            "fock": ({"kind": "fock", "occupation": [int(j == 300) for j in range(N)]}, 1),
+            "path_entangled": ({"kind": "path_entangled", "mode_a": 300, "mode_b": 301}, 1),
+            "coherent": ({"kind": "coherent",
+                          "alphas": [0.0] * 300 + [0.6, [0.0, 0.5]] + [0.0] * (N - 302)}, 12),
+        }[kind]
+        cfg = {"lattice": {"family": "uniform", "N": N, "omega": self.OMEGA, "g": 1.0},
+               "state": state, "n_max": n_max, "pairs": [list(p) for p in self.PAIRS],
+               "z_grid": {"start": 0.0, "stop": 20.0, "steps": 201}, "engine": "moments"}
+        out_path = tmp_path / "trace.csv"
+        tracemalloc.start()
+        try:
+            code = main(["propagate", "--config", write_config(tmp_path, cfg),
+                         "--out", str(out_path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        # measured 44 MB; a [Z, N, N] stack of transfer matrices is 3.2 GB
+        assert peak < 100 * 10**6
+        table = np.loadtxt(out_path, delimiter=",", skiprows=2)
+        assert table.shape == (201, 1 + N + 100)
+        assert np.max(np.abs(table[:, 0] - self.Z_VALUES)) <= 1e-12
+        p, q = np.array(self.PAIRS).T
+        for row in (0, 37, 100, 200):
+            U = self.columns([300, 301], self.Z_VALUES[row])
+            means, g2 = table[row, 1:N + 1], table[row, N + 1:]
+            if kind == "coherent":
+                # <n_p> = r1 |beta_p|^2 and <n_p n_q> = r2 |beta_p|^2 |beta_q|^2
+                # for p != q, with beta = U alpha and r_k = P(M - k) / P(M)
+                mu = 0.61
+                r2, r1 = (math.fsum(mu**n / math.factorial(n) for n in range(K + 1))
+                          / math.fsum(mu**n / math.factorial(n) for n in range(13))
+                          for K in (10, 11))
+                weights = np.abs(0.6 * U[0] + 0.5j * U[1]) ** 2
+                assert np.max(np.abs(means - r1 * weights)) <= 2e-12
+                assert np.max(np.abs(g2 - r2 * weights[p] * weights[q])) <= 2e-12
+            else:
+                psi = U[0] if kind == "fock" else (U[0] + U[1]) / math.sqrt(2.0)
+                assert np.max(np.abs(means - np.abs(psi) ** 2)) <= 2e-12
+                assert np.max(np.abs(g2)) == 0.0
 
 
 class TestVerifyCommand:

@@ -24,17 +24,12 @@ R_HALF = float(np.arcsinh(2**-0.5))
 
 
 def random_moment_set(rng, N):
-    """Positive-semidefinite moments of unit total photon number: the second
-    moments are a Gram matrix, the pair factor holds random vectors assigned
-    to the symmetric pairs (a, b), a <= b."""
-    root = rng.standard_normal((N, 3)) + 1j * rng.standard_normal((N, 3))
-    second = root.conj() @ root.T
-    second /= np.trace(second).real
-    first, other = np.triu_indices(N)
-    vectors = rng.standard_normal((first.size, 4)) + 1j * rng.standard_normal((first.size, 4))
-    index = np.empty((N, N), dtype=int)
-    index[first, other] = index[other, first] = np.arange(first.size)
-    return MomentSet(second, vectors[index] / np.sqrt(first.size))
+    """Moments of unit total photon number from three random mode vectors
+    and a pair factor of two slices built from four random dyads."""
+    root = rng.standard_normal((3, N)) + 1j * rng.standard_normal((3, N))
+    dyads = rng.standard_normal((4, 2, N)) + 1j * rng.standard_normal((4, 2, N))
+    weights = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    return MomentSet(root / np.linalg.norm(root), dyads / N, weights)
 
 
 def single_distance_observables(U, m, fourth, pairs):
@@ -97,17 +92,14 @@ class TestMeanPhotons:
         means = trace_observables(spectrum, moments_of(state), grid).means
         assert np.max(np.abs(means - expected)) < tol
 
-    def test_rejects_inconsistent_moments(self, coupler_spectrum):
-        # a non-Hermitian second-moment matrix leaves a large imaginary part
-        broken = MomentSet(
-            np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
-            np.zeros((2, 2, 0)),
-        )
-        with pytest.raises(NumericalInconsistencyError):
-            trace_observables(coupler_spectrum, broken, [0.7])
+    def test_rejects_inconsistent_moments(self):
+        # mode vectors cannot hold a non-Hermitian second moment; what is
+        # left to refuse is vectors and dyads over different mode counts
+        with pytest.raises(ValueError, match="T x N, S x 2 x N"):
+            MomentSet(np.ones((1, 2)), np.zeros((1, 2, 3)), np.ones((1, 1)))
 
     def test_dimension_mismatch(self, coupler_spectrum):
-        moments = MomentSet(np.zeros((3, 3)), np.zeros((3, 3, 0)))
+        moments = MomentSet(np.zeros((1, 3)), np.zeros((0, 2, 3)), np.zeros((0, 0)))
         with pytest.raises(ValueError, match="different mode counts"):
             trace_observables(coupler_spectrum, moments, [0.0])
 
@@ -184,12 +176,9 @@ class TestTraceObservables:
     def test_nan_moments_fail_closed(self, coupler_spectrum, basis2, where):
         # every check compares as `not worst <= limit`, so NaN cannot pass
         moments = moments_of(build_fock(basis2, (1, 1)))
-        arrays = {"second": np.array(moments.second), "fourth": np.array(moments.pair_factor)}
+        arrays = {"second": np.array(moments.vectors), "fourth": np.array(moments.dyads)}
         arrays[where][0, ...] = math.nan
-        if where == "fourth":
-            # the factor stays symmetric, so MomentSet accepts it
-            arrays[where][:, 0] = math.nan
-        poisoned = MomentSet(arrays["second"], arrays["fourth"])
+        poisoned = MomentSet(arrays["second"], arrays["fourth"], moments.weights)
         with pytest.raises(NumericalInconsistencyError):
             trace_observables(coupler_spectrum, poisoned, [0.0, 0.3], [(0, 1)])
         with pytest.raises(NumericalInconsistencyError):
@@ -274,14 +263,10 @@ class TestTraceObservables:
             assert np.max(np.abs(trace.means[i] - means)) < 1e-12
             assert np.max(np.abs(trace.g2[i] - corr)) < 1e-12
 
-    def test_batched_sweep_rejects_inconsistent_moments(self, coupler_spectrum):
-        # a non-Hermitian second-moment matrix leaves a large imaginary part
-        broken = MomentSet(
-            np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
-            np.zeros((2, 2, 0)),
-        )
-        with pytest.raises(NumericalInconsistencyError):
-            trace_observables(coupler_spectrum, broken, [0.0, 0.7], [(0, 1)])
+    def test_batched_sweep_rejects_inconsistent_moments(self):
+        # coefficients must come one row per dyad
+        with pytest.raises(ValueError, match="T x N, S x 2 x N"):
+            MomentSet(np.ones((1, 2)), np.zeros((2, 2, 2)), np.ones((1, 1)))
 
 
 class TestEngineAgreement:

@@ -362,17 +362,23 @@ def dict_moments(basis, amplitudes):
 
 class TestMomentSet:
     def test_rejects_a_factor_of_the_wrong_shape(self):
-        for factor in (np.zeros((2, 2)), np.zeros((2, 3, 1)), np.zeros((2, 2, 2, 2))):
-            with pytest.raises(ValueError, match="N x N x r"):
-                MomentSet(np.eye(2), factor)
+        for dyads, weights in ((np.zeros((1, 2)), np.ones((1, 1))),
+                               (np.zeros((1, 3, 2)), np.ones((1, 1))),
+                               (np.zeros((1, 2, 2)), np.ones(1)),
+                               (np.zeros((1, 2, 2)), np.ones((2, 1)))):
+            with pytest.raises(ValueError, match="S x 2 x N and S x r"):
+                MomentSet(np.eye(2), dyads, weights)
 
     def test_rejects_an_asymmetric_factor(self):
-        factor = np.zeros((2, 2, 1), dtype=complex)
-        factor[0, 1, 0] = 1.0
-        with pytest.raises(ValueError, match="symmetric"):
-            MomentSet(np.eye(2), factor)
-        factor[1, 0, 0] = 1.0
-        assert MomentSet(np.eye(2), factor).pair_factor.shape == (2, 2, 1)
+        # a factor is held as symmetrised dyads, so even the dyad e_0 (x) e_1
+        # gives a factor symmetric bit for bit, with half its weight per entry
+        factor = MomentSet(np.eye(2), [[[1.0, 0.0], [0.0, 1.0]]], [[1.0]]).pair_factor
+        assert factor.shape == (2, 2, 1)
+        assert np.array_equal(factor[:, :, 0], [[0.0, 0.5], [0.5, 0.0]])
+        rng = np.random.default_rng(3)
+        dyads = rng.standard_normal((5, 2, 4)) + 1j * rng.standard_normal((5, 2, 4))
+        factor = MomentSet(np.eye(4), dyads, rng.standard_normal((5, 3))).pair_factor
+        assert np.array_equal(factor, factor.transpose(1, 0, 2))
 
     def test_single_photon_has_a_rank_zero_factor(self, fourth_moments):
         # with n_max = 1 no state is left for the pair vectors
@@ -386,15 +392,41 @@ class TestMomentSet:
         assert np.max(np.abs(trace.g2[:, 1] - trace.means[:, 1])) == 0.0
 
     def test_factor_ranks(self):
-        # coherent light has one pair direction, the squeezed vacuum three,
-        # and a deep basis caps the ladder factor at the P = N (N + 1) / 2 pairs
+        # coherent light has one pair direction and the squeezed vacuum three,
+        # truncated or not: the ladder factor keeps no rounding-noise columns
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
             assert coherent_moments([0.3, 0.2j, 0.1], 12).pair_factor.shape == (3, 3, 1)
             assert analytic_moments_tmsv(R_HALF, 0, 2, 3).pair_factor.shape == (3, 3, 3)
             assert moments_of(build_fock(FockBasis(3, 2), (1, 1, 0))).pair_factor.shape == (3, 3, 1)
             assert moments_of(build_tmsv(FockBasis(3, 12), 0, 1, R_HALF)).pair_factor.shape == (
-                3, 3, 6)
+                3, 3, 3)
+
+    def test_rank_cut_keeps_the_full_gram_moments(self):
+        # coherent light in FockBasis(8, 12) has Gram matrices of rank one;
+        # an uncut pair factor held 36 columns, most of them rounding noise
+        basis = FockBasis(8, 12)
+        rng = np.random.default_rng(30)
+        alphas = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        state = build_coherent(basis, 0.9 * alphas / np.linalg.norm(alphas))
+        moments = moments_of(state)
+        assert moments.vectors.shape == (1, 8)
+        assert moments.pair_factor.shape == (8, 8, 1)
+        occupations = basis.occupations
+
+        def lower(vector, j):
+            out = np.zeros(basis.size, dtype=complex)
+            held = occupations[:, j] > 0
+            below = occupations[held] - np.eye(8, dtype=np.int64)[j]
+            out[basis.rank(below)] = np.sqrt(occupations[held, j]) * vector[held]
+            return out
+
+        lowered = np.array([lower(state.amplitudes, j) for j in range(8)])
+        first, other = np.triu_indices(8)
+        pairs = np.array([lower(lowered[b], a) for a, b in zip(first, other)])
+        factor = moments.pair_factor[first, other]
+        assert np.max(np.abs(moments.second - lowered.conj() @ lowered.T)) < 1e-13
+        assert np.max(np.abs(factor.conj() @ factor.T - pairs.conj() @ pairs.T)) < 1e-13
 
 
 class TestMomentsOfAgainstReferences:
