@@ -17,7 +17,6 @@ import sys
 
 from .fockspace import WorkCapError
 from .runner import ConfigError, load_config, run_propagate, run_spectrum
-from .verify import format_report, run_acceptance
 
 
 def main(argv=None) -> int:
@@ -58,7 +57,10 @@ def main(argv=None) -> int:
             with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
                 handle.write(csv_text)
             return 0
-        results = run_acceptance(fault=args.inject_fault)  # the verify command
+        # the verify command; only it loads the acceptance suite
+        from .verify import format_report, run_acceptance
+
+        results = run_acceptance(fault=args.inject_fault)
         print(format_report(results))
         return 0 if all(res.passed for res in results) else 1
     except ConfigError as err:

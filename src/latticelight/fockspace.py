@@ -146,7 +146,9 @@ class FockEvolver:
         radius = top * self._half_width
         # the expansions take more terms in all than the scaled distance R z
         span = radius * z_values[-1]
-        nonzeros = dim * (2 * self.basis.num_modes - 1)
+        # a row of sector n has at most min(2 (N - 1), 2 n) hops: each
+        # occupied mode sends a photon left or right
+        nonzeros = dim * (1 + min(2 * (self.basis.num_modes - 1), 2 * top))
         if not span * nonzeros <= _WORK_CAP:
             raise WorkCapError(
                 f"sector {top} needs Chebyshev degree above {span:.3g} up to "
@@ -220,8 +222,10 @@ class _ChebyshevStep:
     [-1, 1], and exp(-i H tau) = exp(-i n c tau) sum_k b_k(R tau) psi_k with
     b_k(x) = (2 - delta_k0) J_k(x) and psi_k = (-i)^k T_k(Hs) psi_0, which
     obey psi_{k+1} = psi_{k-1} - 2i Hs psi_k.  Hs is kept as one column and
-    one weight per row and slot (the diagonal, then one slot per hop
-    direction; a row without that hop reads itself with weight zero).
+    one weight per row and slot: the diagonal, then the row's hops in
+    direction order, the s-th in slot 1 + s.  There are 1 + the most hops
+    any row has slots, and a row with fewer reads itself with weight zero
+    in the rest.
     Vectors are (re, im) pairs for even k and (im, re) pairs for odd k:
     multiplying by -2i swaps the parts, so each step then needs one gather
     and one elementwise product and no reordering.
@@ -231,13 +235,18 @@ class _ChebyshevStep:
         low, top = hamiltonian.low, hamiltonian.top
         dim = hamiltonian.stop - hamiltonian.start
         photons = hamiltonian.basis.occupations[hamiltonian.start:hamiltonian.stop].sum(axis=1)
-        slots = 1 + len(hamiltonian.hops)
-        self._columns = np.tile(np.arange(dim), (slots, 1))
-        weights = np.zeros((slots, dim))
+        hops = np.zeros(dim, dtype=np.int64)
+        for rows, _, _ in hamiltonian.hops:
+            hops[rows] += 1
+        self._columns = np.tile(np.arange(dim), (1 + hops.max(initial=0), 1))
+        weights = np.zeros(self._columns.shape)
         weights[0] = hamiltonian.diagonal - center * photons
-        for slot, (rows, columns, values) in enumerate(hamiltonian.hops, 1):
-            self._columns[slot, rows] = columns
-            weights[slot, rows] = values
+        # each direction holds a row once, so its hop takes the row's next slot
+        slot = np.ones(dim, dtype=np.int64)
+        for rows, columns, values in hamiltonian.hops:
+            self._columns[slot[rows], rows] = columns
+            weights[slot[rows], rows] = values
+            slot[rows] += 1
         weights *= 2.0 / radius if radius > 0 else 0.0
         # -2i Hs (u + iv) = 2 Hs v - 2i Hs u, by the parity of the input's k
         self._weights = (np.stack((-weights, weights), axis=-1),

@@ -65,8 +65,6 @@ class FockBasis:
             raise ValueError("max_total must be non-negative")
         self.num_modes = N = int(num_modes)
         self.max_total = int(max_total)
-        self.occupations = _compositions(N, self.max_total)
-        self.occupations.setflags(write=False)
         # offsets[n] = number of basis states with fewer than n photons
         self._offsets = np.array(
             [math.comb(n + N - 1, N) for n in range(self.max_total + 2)], dtype=np.int64
@@ -79,6 +77,8 @@ class FockBasis:
              for j in range(N - 1)],
             dtype=np.int64,
         ).reshape(N - 1, self.max_total + 1)
+        self.occupations = _compositions(self._offsets, self._preceding)
+        self.occupations.setflags(write=False)
         # raising table _up[j, y] = rank(y + e_j) for y below max_total
         # photons: y + e_0 lies one sector size after y, and y + e_(i+1)
         # differs from y + e_i in the ranking term of mode i alone
@@ -130,20 +130,44 @@ class FockBasis:
         )
 
 
-def _compositions(parts: int, max_total: int) -> np.ndarray:
-    """Compositions of each total n <= max_total into ``parts`` parts, by
-    ascending n and in descending lexicographic order within it: first
-    entries f = n, n - 1, ..., 0, each followed by the compositions of n - f
-    into one part fewer, which are the rows of totals 0 .. n of that table."""
-    table = np.arange(max_total + 1, dtype=np.int64)[:, None]
-    for _ in range(parts - 1):
-        totals = table.sum(axis=1)
-        ends = np.cumsum(np.bincount(totals))
-        out = np.empty((ends.sum(), table.shape[1] + 1), dtype=np.int64)
-        for n, block in enumerate(np.split(out, np.cumsum(ends)[:-1])):
-            block[:, 0] = n - totals[:len(block)]
-            block[:, 1:] = table[:len(block)]
-        table = out
+def _compositions(offsets: np.ndarray, preceding: np.ndarray) -> np.ndarray:
+    """The basis table: row i is the occupation vector of rank i.
+
+    Within a total n the rows run through the first occupied mode j in
+    ascending order, then through its photons f = n, ..., 1.  The rows of
+    one (n, j, f) block hold f at mode j followed by each state of n - f
+    photons in the modes after j, in their own order; those states are the
+    last rows of sector n - f, the ones with no photon in modes 0 .. j, and
+    there are preceding[j, n - f + 1] - preceding[j, n - f] of them.  So
+    each row is a copy of one row of a lower sector plus its own entry f at
+    mode j, and the table fills one sector at a time.  The time is linear
+    in the size of the table plus the N top (top + 1) / 2 blocks.
+    """
+    N = preceding.shape[0] + 1
+    top = offsets.size - 2
+    # later[j, m]: states of m photons in the modes after j (after the last
+    # mode, the vacuum alone)
+    later = np.vstack((np.diff(preceding, axis=1), np.eye(1, top, dtype=np.int64)))
+    n, j, f = np.meshgrid(np.arange(1, top + 1), np.arange(N), np.arange(top, 0, -1),
+                          indexing="ij")
+    n, j, f = n[f <= n], j[f <= n], f[f <= n]
+    lengths = later[j, n - f]
+    # rows 1, 2, ... (all but the vacuum): the row each copies, the flat
+    # index of its own entry and that entry
+    rows = np.arange(1, offsets[-1])
+    starts = 1 + np.cumsum(lengths) - lengths
+    source = rows + np.repeat(offsets[n - f + 1] - lengths - starts, lengths)
+    entry = N * rows + np.repeat(j, lengths)
+    count = np.repeat(f, lengths)
+    table = np.empty((offsets[-1], N), dtype=np.int64)
+    table[0] = 0
+    for total in range(1, top + 1):
+        first, stop = offsets[total], offsets[total + 1]
+        part = slice(first - 1, stop - 1)
+        # the sources lie below ``first``, so the two views share no memory
+        # and "clip" (no index is out of range) writes straight into ``out``
+        np.take(table[:first], source[part], axis=0, out=table[first:stop], mode="clip")
+        table.reshape(-1)[entry[part]] = count[part]
     return table
 
 
@@ -295,11 +319,10 @@ def build_tmsv(
         raise ValueError("squeezing parameter r must be finite and non-negative")
     amps = np.zeros(basis.size, dtype=complex)
     tanh_r = math.tanh(r)
-    for j in range(basis.max_total // 2 + 1):
-        occ = [0] * basis.num_modes
-        occ[mode_a] = j
-        occ[mode_b] = j
-        amps[basis.index_of(occ)] = tanh_r**j / math.cosh(r)
+    pairs = np.arange(basis.max_total // 2 + 1)
+    occupations = np.zeros((pairs.size, basis.num_modes), dtype=np.int64)
+    occupations[:, [mode_a, mode_b]] = pairs[:, None]
+    amps[basis.rank(occupations)] = [tanh_r**j / math.cosh(r) for j in range(pairs.size)]
     # the pair count is geometric, P(j) = (1 - t) t^j with t = tanh(r)^2
     tail = tanh_r ** (2 * (basis.max_total // 2 + 1))
     _warn_truncation(tail, tail_bound)

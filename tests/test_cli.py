@@ -520,7 +520,7 @@ class TestVerifyCommand:
         code = main(["verify"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "all" in out and "passed" in out
+        assert out.splitlines()[-1] == "all 30 checks passed"
         assert "photon-conservation" in out
         assert "FAIL" not in out
 
@@ -540,3 +540,22 @@ class TestVerifyCommand:
         assert done.returncode == 0, done.stdout
         assert done.stderr == ""
         assert done.stdout.splitlines()[-1] == "all 30 checks passed"
+
+    def test_only_verify_loads_the_acceptance_suite(self, tmp_path):
+        # spectrum and propagate start without compiling verify.py
+        config = write_config(tmp_path, small_coupler_config())
+        script = (
+            "import sys\n"
+            "import latticelight.cli\n"
+            "loaded = lambda: 'latticelight.verify' in sys.modules\n"
+            "assert not loaded()\n"
+            f"assert latticelight.cli.main(['spectrum', '--config', {config!r}]) == 0\n"
+            f"assert latticelight.cli.main(['propagate', '--config', {config!r}, "
+            f"'--out', {str(tmp_path / 'out.csv')!r}]) == 0\n"
+            "assert not loaded()\n"
+        )
+        src = str(Path(latticelight.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=300, env=dict(os.environ, PYTHONPATH=path))
+        assert done.returncode == 0, done.stderr

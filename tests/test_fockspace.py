@@ -99,6 +99,23 @@ class TestSectorHamiltonian:
             tracemalloc.stop()
         assert peak < 10**6
 
+    def test_hop_slots_are_as_wide_as_the_busiest_row(self):
+        # two photons make at most four hops; a full range keeps 2 N - 1 slots
+        for N, n_max, low, width in ((200, 2, 2, 5), (6, 9, 0, 11)):
+            spec = make_uniform(N, 0.1, 1.0)
+            basis = FockBasis(N, n_max)
+            block = build_sector_hamiltonian(spec, basis, low, n_max)
+            step = fockspace._ChebyshevStep(block, 0.0, 1.0)
+            assert step._columns.shape == (width, block.stop - block.start)
+
+    def test_work_cap_counts_the_hops_a_row_can_have(self):
+        # sector 2 of 200 guides: 20 100 rows of at most 1 + 4 entries
+        basis = FockBasis(200, 2)
+        spec = LatticeSpec(np.zeros(200), np.full(199, 1e200))
+        state = build_fock(basis, [1] * 2 + [0] * 198)
+        with pytest.raises(fockspace.WorkCapError, match=r"with 100500 nonzeros"):
+            FockEvolver(spec, basis).sweep(state, [0.0, 1.0])
+
     def test_largest_sector_propagates(self):
         # 8 guides, 12 photons: sector 12 has dimension 50 388
         basis = FockBasis(8, 12)

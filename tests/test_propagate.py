@@ -69,6 +69,24 @@ class TestFockSweep:
         assert np.max(np.abs(trace.g2 - g2)) < 1e-12
         assert np.max(np.abs(trace.fid - fid)) < 1e-12
 
+    def test_two_photons_on_thirty_guides_match_full_space_reference(self, dense):
+        # most rows hold fewer hops than the widest, so their spare slots
+        # read themselves with weight zero
+        rng = np.random.default_rng(30)
+        spec = LatticeSpec(rng.uniform(-2.0, 2.0, 30), rng.uniform(0.1, 2.0, 29))
+        basis = FockBasis(30, 2)
+        amplitudes = np.zeros(basis.size, dtype=complex)
+        amplitudes[basis.index_of([0] * 14 + [1, 1] + [0] * 14)] = 0.8
+        amplitudes[basis.index_of([0] * 3 + [2] + [0] * 26)] = 0.6j
+        state = FockState(basis, amplitudes)
+        z_values = np.array([0.0, 0.7, 3.1, 12.5, 40.0])
+        pairs = [(14, 15), (3, 3), (0, 29), (20, 21)]
+        trace = propagate(spec, state, z_values, pairs, ["initial", "mirror"], engine="fock")
+        means, g2, fid = reference_observables(spec, state, z_values, pairs, dense)
+        assert np.max(np.abs(trace.means - means)) < 1e-12
+        assert np.max(np.abs(trace.g2 - g2)) < 1e-12
+        assert np.max(np.abs(trace.fid - fid)) < 1e-12
+
     def test_evolve_is_the_one_point_sweep(self, coupler, basis2):
         state = build_fock(basis2, (2, 1))
         evolver = FockEvolver(coupler, basis2)

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -93,6 +94,28 @@ class TestFockBasis:
         lower = basis.occupations[:basis.sector(n_max)[0]]
         raised = basis.rank(lower[:, None] + np.eye(N, dtype=np.int64))
         assert np.array_equal(basis._up.T, raised)
+
+    @pytest.mark.parametrize(
+        "N,n_max", [(N, n) for N in (1, 2, 3, 5, 8) for n in (0, 1, 2, 5, 12)] + [(50, 3)]
+    )
+    def test_compositions_match_brute_force(self, N, n_max):
+        # every multiset of photon positions, as occupation vectors sorted in
+        # descending lexicographic order within each total
+        expected = []
+        for n in range(n_max + 1):
+            sector = set()
+            for positions in itertools.combinations_with_replacement(range(N), n):
+                occupation = [0] * N
+                for mode in positions:
+                    occupation[mode] += 1
+                sector.add(tuple(occupation))
+            expected += sorted(sector, reverse=True)
+        basis = FockBasis(N, n_max)
+        assert np.array_equal(basis.occupations, np.array(expected, dtype=np.int64).reshape(-1, N))
+        position = {occupation: i for i, occupation in enumerate(expected)}
+        raised = [[position[occupation[:j] + (occupation[j] + 1,) + occupation[j + 1:]]
+                   for occupation in expected[:basis.sector(n_max)[0]]] for j in range(N)]
+        assert np.array_equal(basis._up, np.array(raised, dtype=np.int64).reshape(N, -1))
 
     @pytest.mark.parametrize(
         "occupation", [(1, 0), (1, 0, 0, 0), (2, -1, 0), (0, 0, 5), (3, 1, 1)]
@@ -231,6 +254,17 @@ class TestBuildTmsv:
             amp = state.amplitudes[basis2.index_of((j, j))]
             expected = math.tanh(R_HALF) ** j / math.cosh(R_HALF) / norm
             assert amp == pytest.approx(expected, abs=1e-13)
+
+    def test_amplitudes_match_the_pair_by_pair_construction(self):
+        basis = FockBasis(4, 9)
+        with pytest.warns(TruncationWarning):
+            state = build_tmsv(basis, 3, 1, 0.7)
+        amplitudes = np.zeros(basis.size, dtype=complex)
+        for j in range(5):
+            occupation = [0, j, 0, j]
+            amplitudes[basis.index_of(occupation)] = math.tanh(0.7) ** j / math.cosh(0.7)
+        kept = float(np.sum(np.abs(amplitudes) ** 2))
+        assert np.array_equal(state.amplitudes, amplitudes / math.sqrt(kept))
 
     def test_tail_is_geometric(self, basis2):
         # kept pair terms run to j = 6; the rest is an exact geometric tail
