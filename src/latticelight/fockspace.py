@@ -84,38 +84,34 @@ def build_sector_hamiltonian(
     """Second-quantized Hamiltonian restricted to the sectors of ``low`` to
     ``top`` photons, which it leaves closed.
 
-    Diagonal entries are sum_j omega_j n_j; an entry connecting occupations
-    that differ by one hop j -> j +/- 1 is g_j sqrt((n_j + 1) n_{j +/- 1})
-    with the square root evaluated on the annihilated side.
+    Diagonal entries are sum_j omega_j n_j.  A hop a_dst^dag a_src between
+    modes j and j + 1 links ``raising[src, y]`` to ``raising[dst, y]`` for
+    each state y of ``low`` - 1 to ``top`` - 1 photons, with the weight
+    g_j sqrt((y_j + 1) (y_(j+1) + 1)) that both directions share.
     """
     if spec.size != basis.num_modes:
         raise ValueError("lattice and basis have different mode counts")
     if not 0 <= low <= top <= basis.max_total:
         raise ValueError(f"sectors {low}..{top} not contained in the basis")
     start, stop = basis.sector(low)[0], basis.sector(top)[1]
-    occupations = basis.occupations[start:stop]
+    below = slice(basis.sector(max(low - 1, 0))[0], basis.sector(top)[0])
+    lowered = basis.occupations[below]
+    raising = basis.raising[:, below] - start
     hops = []
     for j, coupling in enumerate(spec.couplings):
+        weights = coupling * np.sqrt(((lowered[:, j] + 1) * (lowered[:, j + 1] + 1)).astype(float))
         # one photon hops from mode src to mode dst
         for src, dst in ((j + 1, j), (j, j + 1)):
-            columns = np.nonzero(occupations[:, src] > 0)[0]
-            target = occupations[columns]
-            weights = coupling * np.sqrt(((target[:, dst] + 1) * target[:, src]).astype(float))
-            target[:, src] -= 1
-            target[:, dst] += 1
-            hops.append((basis.rank(target) - start, columns, weights))
-    return SectorHamiltonian(low, top, occupations @ spec.omegas, tuple(hops), basis,
-                             start, stop)
+            hops.append((raising[dst], raising[src], weights))
+    return SectorHamiltonian(low, top, basis.occupations[start:stop] @ spec.omegas,
+                             tuple(hops), basis, start, stop)
 
 
 class FockEvolver:
-    """Evolves states of one lattice in a truncated Fock basis."""
+    """Evolves states of one lattice, each in the truncated Fock basis it carries."""
 
-    def __init__(self, spec: LatticeSpec, basis: FockBasis):
-        if spec.size != basis.num_modes:
-            raise ValueError("lattice and basis have different mode counts")
+    def __init__(self, spec: LatticeSpec):
         self.spec = spec
-        self.basis = basis
         # Gershgorin discs of the one-photon chain: omega_j +/- (|g_{j-1}| + |g_j|)
         reach = np.zeros(spec.size)
         reach[:-1] += np.abs(spec.couplings)
@@ -136,26 +132,25 @@ class FockEvolver:
         within ``_BLOCK_AMPLITUDES`` amplitudes (or a few vectors of the
         range) whatever the grid length and the degree.
         """
-        if not state.basis.same_shape(self.basis):
-            raise ValueError("state basis does not match the evolver basis")
+        basis = state.basis
         low, top = _occupied_sectors(state)
         if top < low or not z_values.size:
             return
-        start, stop = self.basis.sector(low)[0], self.basis.sector(top)[1]
+        start, stop = basis.sector(low)[0], basis.sector(top)[1]
         dim = stop - start
         radius = top * self._half_width
         # the expansions take more terms in all than the scaled distance R z
         span = radius * z_values[-1]
         # a row of sector n has at most min(2 (N - 1), 2 n) hops: each
         # occupied mode sends a photon left or right
-        nonzeros = dim * (1 + min(2 * (self.basis.num_modes - 1), 2 * top))
+        nonzeros = dim * (1 + min(2 * (basis.num_modes - 1), 2 * top))
         if not span * nonzeros <= _WORK_CAP:
             raise WorkCapError(
                 f"sector {top} needs Chebyshev degree above {span:.3g} up to "
                 f"z = {z_values[-1]:g}; with {nonzeros} nonzeros that exceeds the "
                 f"work cap {_WORK_CAP:.0e}"
             )
-        step = _ChebyshevStep(build_sector_hamiltonian(self.spec, self.basis, low, top),
+        step = _ChebyshevStep(build_sector_hamiltonian(self.spec, basis, low, top),
                               self._center, radius)
         vector = state.amplitudes[start:stop]
         norm = np.linalg.norm(vector)
@@ -180,13 +175,19 @@ class FockEvolver:
             yield start, stop, slice(first, last), amplitudes, weights
             vector, anchor, first = amplitudes[-1], z_values[last - 1], last
 
+    def _checked(self, state: FockState, z_grid, pairs):
+        """``check_sweep`` for a state, refused first if its mode count is not the lattice's."""
+        if state.basis.num_modes != self.spec.size:
+            raise ValueError("lattice and state have different mode counts")
+        return check_sweep(z_grid, pairs, self.spec.size)
+
     def evolve(self, state: FockState, z: float) -> FockState:
         """Propagate a state over distance z >= 0."""
-        z_values, _ = check_sweep([z], (), self.basis.num_modes)
-        out = np.zeros(self.basis.size, dtype=complex)
+        z_values, _ = self._checked(state, [z], ())
+        out = np.zeros(state.basis.size, dtype=complex)
         for start, stop, _, amplitudes, _ in self._propagate(state, z_values):
             out[start:stop] = amplitudes[0]
-        return FockState(self.basis, out, tail_mass=state.tail_mass)
+        return FockState(state.basis, out, tail_mass=state.tail_mass)
 
     def sweep(self, state: FockState, z_grid, pairs=(), targets=()) -> Trace:
         """Means, pair correlations <n_p n_q> and fidelities along a grid.
@@ -194,7 +195,7 @@ class FockEvolver:
         ``targets`` names states from ``FIDELITY_TARGETS``; the grid and
         ``pairs`` pass ``check_sweep``.
         """
-        z_values, pair_list = check_sweep(z_grid, pairs, self.basis.num_modes)
+        z_values, pair_list = self._checked(state, z_grid, pairs)
         for name in targets:
             if name not in FIDELITY_TARGETS:
                 raise ValueError(f"fidelity targets are {FIDELITY_TARGETS}, got {name!r}")
@@ -203,8 +204,8 @@ class FockEvolver:
              for name in targets]
         ).reshape(len(targets), state.basis.size)
         a, b = np.array(pair_list, dtype=np.int64).reshape(-1, 2).T
-        occupations = self.basis.occupations
-        means = np.zeros((z_values.size, self.basis.num_modes))
+        occupations = state.basis.occupations
+        means = np.zeros((z_values.size, self.spec.size))
         g2 = np.zeros((z_values.size, a.size))
         overlaps = np.zeros((z_values.size, len(targets)), dtype=complex)
         for start, stop, rows, amplitudes, weights in self._propagate(state, z_values):

@@ -56,7 +56,7 @@ def check_sweep(z_grid, pairs, num_modes: int):
     """The validated grid and pairs of a sweep, as both engines accept them.
 
     The grid must be one-dimensional, finite, non-negative and sorted
-    ascending, and every pair must hold two mode indices in [0, num_modes).
+    ascending, and every pair must hold two integer mode indices in [0, num_modes).
     Returns the grid as a float array and the pairs as a tuple of int pairs.
     """
     z_values = np.asarray(z_grid, dtype=float)
@@ -66,10 +66,11 @@ def check_sweep(z_grid, pairs, num_modes: int):
         raise ValueError("propagation distance z must be finite and >= 0")
     if (z_values[1:] < z_values[:-1]).any():
         raise ValueError("z_grid must be sorted ascending")
-    pair_list = tuple((int(p), int(q)) for p, q in pairs)
-    if not all(0 <= j < num_modes for pair in pair_list for j in pair):
+    pair_list = tuple((p, q) for p, q in pairs)
+    if not all(isinstance(j, (int, np.integer)) and 0 <= j < num_modes
+               for pair in pair_list for j in pair):
         raise ValueError(f"pair indices out of range for {num_modes} modes")
-    return z_values, pair_list
+    return z_values, tuple((int(p), int(q)) for p, q in pair_list)
 
 
 def trace_observables(

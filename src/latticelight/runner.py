@@ -151,6 +151,9 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("z_grid.start: must be non-negative")
     z_values = np.linspace(start, stop, steps)
 
+    for name in ("pairs", "fidelity_targets"):
+        if not isinstance(raw.get(name, []), list):
+            raise ConfigError(f"{name}: must be a list")
     pairs = []
     for i, pair in enumerate(raw.get("pairs", [])):
         if (
@@ -233,7 +236,7 @@ def propagate(spec: LatticeSpec, state: FockState | MomentSet, z, pairs=(), targ
     if isinstance(state, MomentSet) and engine != "moments":
         raise ValueError("a MomentSet runs on the moments engine only; use engine 'moments'")
     if engine != "moments":
-        fock = FockEvolver(spec, state.basis).sweep(state, z, pairs, targets)
+        fock = FockEvolver(spec).sweep(state, z, pairs, targets)
         if engine == "fock":
             return fock
     initial = state if isinstance(state, MomentSet) else moments_of(state)

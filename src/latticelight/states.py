@@ -53,9 +53,10 @@ class FockBasis:
     Positions are computed, not looked up: ``rank`` maps occupation vectors
     to their indices by counting the compositions that precede them
     (combinatorial ranking, Knuth TAOCP 4A, 7.2.1.3).  One pass over those
-    counts also gives the raising table rank(y + e_j) of every state y
-    below ``max_total`` photons, through which every ladder operator is a
-    gather.
+    counts also gives the read-only raising table ``raising[j, y] =
+    rank(y + e_j)`` of every state y below ``max_total`` photons, which
+    places every ladder move: a_j is a gather through ``raising[j]``, and
+    a hop a_dst^dag a_src takes ``raising[src, y]`` to ``raising[dst, y]``.
     """
 
     def __init__(self, num_modes: int, max_total: int):
@@ -79,17 +80,17 @@ class FockBasis:
         ).reshape(N - 1, self.max_total + 1)
         self.occupations = _compositions(self._offsets, self._preceding)
         self.occupations.setflags(write=False)
-        # raising table _up[j, y] = rank(y + e_j) for y below max_total
-        # photons: y + e_0 lies one sector size after y, and y + e_(i+1)
-        # differs from y + e_i in the ranking term of mode i alone
+        # y + e_0 lies one sector size after y, and y + e_(i+1) differs from
+        # y + e_i in the ranking term of mode i alone
         sizes = np.diff(self._offsets)
         totals = np.repeat(np.arange(self.max_total), sizes[:-1])
-        self._up = up = np.empty((N, totals.size), dtype=np.int64)
+        self.raising = up = np.empty((N, totals.size), dtype=np.int64)
         up[0] = np.arange(totals.size) + sizes[totals]
         after = totals
         for i, steps in enumerate(np.diff(self._preceding, axis=1)):
             after = after - self.occupations[:totals.size, i]
             np.add(up[i], steps[after], out=up[i + 1])
+        up.setflags(write=False)
 
     @property
     def size(self) -> int:
@@ -97,13 +98,14 @@ class FockBasis:
 
     def rank(self, occupations) -> np.ndarray:
         """Basis indices of occupation vectors given along the last axis."""
-        occ = np.asarray(occupations, dtype=np.int64)
+        occ = np.asarray(occupations)
         totals = occ.sum(axis=-1)
-        if occ.shape[-1:] != (self.num_modes,) or (
+        # entries of a non-integer type are refused, not truncated
+        if occ.dtype.kind not in "iu" or occ.shape[-1:] != (self.num_modes,) or (
             occ.size and (occ.min() < 0 or totals.max() > self.max_total)
         ):
             raise ValueError(
-                f"occupations need {self.num_modes} non-negative entries "
+                f"occupations need {self.num_modes} non-negative integer entries "
                 f"with total at most {self.max_total}"
             )
         # photons held by the modes after j, for j = 0 .. N - 2
@@ -111,23 +113,11 @@ class FockBasis:
         within = self._preceding[np.arange(self.num_modes - 1), after].sum(axis=-1)
         return self._offsets[totals] + within
 
-    def index_of(self, occupation) -> int:
-        """Position of an occupation vector in the basis."""
-        occ = np.asarray(occupation)
-        if occ.shape != (self.num_modes,):
-            raise ValueError(f"occupation {tuple(occ.tolist())} is not in the basis")
-        return int(self.rank(occ))
-
     def sector(self, total: int) -> tuple[int, int]:
         """Index range [start, stop) of the fixed-total-photon sector."""
         if not 0 <= total <= self.max_total:
             raise ValueError(f"no sector with {total} photons in this basis")
         return int(self._offsets[total]), int(self._offsets[total + 1])
-
-    def same_shape(self, other: "FockBasis") -> bool:
-        return (
-            self.num_modes == other.num_modes and self.max_total == other.max_total
-        )
 
 
 def _compositions(offsets: np.ndarray, preceding: np.ndarray) -> np.ndarray:
@@ -250,8 +240,10 @@ class MomentSet:
 
 def build_fock(basis: FockBasis, occupation) -> FockState:
     """Product Fock state |n_0, ..., n_{N-1}>."""
+    if np.shape(occupation) != (basis.num_modes,):  # rank would take a stack
+        raise ValueError(f"occupation {occupation} is not in the basis")
     amps = np.zeros(basis.size, dtype=complex)
-    amps[basis.index_of(occupation)] = 1.0
+    amps[basis.rank(occupation)] = 1.0
     return FockState(basis, amps, tail_mass=0.0)
 
 
@@ -345,7 +337,7 @@ def moments_of(state: FockState) -> MomentSet:
     """
     basis = state.basis
     N = basis.num_modes
-    up = basis._up
+    up = basis.raising
     roots = np.sqrt(basis.occupations[:up.shape[1]].T + 1.0)
     lowered = state.amplitudes[up] * roots
     a_modes, b_modes = np.triu_indices(N)

@@ -278,6 +278,19 @@ class TestPropagateCommand:
         assert "lattice.family:" in capsys.readouterr().err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("field,value", [("pairs", 5), ("pairs", None),
+                                             ("fidelity_targets", 5),
+                                             ("fidelity_targets", "initial")])
+    def test_non_list_field_exit_code(self, capsys, tmp_path, field, value):
+        # neither iterated as it comes nor read character by character
+        cfg = small_coupler_config()
+        cfg[field] = value
+        out_path = tmp_path / "trace.csv"
+        argv = ["propagate", "--config", write_config(tmp_path, cfg), "--out", str(out_path)]
+        assert main(argv) == 2
+        assert f"{field}: must be a list" in capsys.readouterr().err
+        assert not out_path.exists()
+
     def test_header_and_initial_row(self, tmp_path):
         out_path = tmp_path / "trace.csv"
         code = main(

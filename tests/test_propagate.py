@@ -76,8 +76,8 @@ class TestFockSweep:
         spec = LatticeSpec(rng.uniform(-2.0, 2.0, 30), rng.uniform(0.1, 2.0, 29))
         basis = FockBasis(30, 2)
         amplitudes = np.zeros(basis.size, dtype=complex)
-        amplitudes[basis.index_of([0] * 14 + [1, 1] + [0] * 14)] = 0.8
-        amplitudes[basis.index_of([0] * 3 + [2] + [0] * 26)] = 0.6j
+        amplitudes[basis.rank([0] * 14 + [1, 1] + [0] * 14)] = 0.8
+        amplitudes[basis.rank([0] * 3 + [2] + [0] * 26)] = 0.6j
         state = FockState(basis, amplitudes)
         z_values = np.array([0.0, 0.7, 3.1, 12.5, 40.0])
         pairs = [(14, 15), (3, 3), (0, 29), (20, 21)]
@@ -89,7 +89,7 @@ class TestFockSweep:
 
     def test_evolve_is_the_one_point_sweep(self, coupler, basis2):
         state = build_fock(basis2, (2, 1))
-        evolver = FockEvolver(coupler, basis2)
+        evolver = FockEvolver(coupler)
         trace = evolver.sweep(state, [0.8], [(0, 1)], ["initial"])
         evolved = evolver.evolve(state, 0.8).amplitudes
         probabilities = np.abs(evolved) ** 2
@@ -135,6 +135,7 @@ class TestPropagate:
             ([[0.0, 1.0]], ()),               # two-dimensional
             ([0.0, 1.0], [(0, 2)]),           # index == N
             ([0.0, 1.0], [(-1, 0)]),          # negative index
+            ([0.0, 1.0], [(0.7, 1)]),         # not an integer
         ],
     )
     def test_engines_reject_the_same_inputs_alike(self, coupler, basis2, z_grid, pairs):
@@ -148,7 +149,7 @@ class TestPropagate:
             trace_observables(eigendecompose(coupler), moments_of(state), z_grid, pairs)
         messages.append(str(caught.value))
         with pytest.raises(ValueError) as caught:
-            FockEvolver(coupler, basis2).sweep(state, z_grid, pairs)
+            FockEvolver(coupler).sweep(state, z_grid, pairs)
         messages.append(str(caught.value))
         assert len(set(messages)) == 1, messages
 

@@ -55,12 +55,14 @@ class TestFockBasis:
         n_max = data.draw(st.integers(0, 6))
         basis = FockBasis(N, n_max)
         i = data.draw(st.integers(0, basis.size - 1))
-        assert basis.index_of(basis.occupations[i]) == i
+        assert basis.rank(basis.occupations[i]) == i
 
     def test_unknown_occupation(self):
         basis = FockBasis(2, 3)
         with pytest.raises(ValueError):
-            basis.index_of((4, 0))
+            basis.rank((4, 0))
+        with pytest.raises(ValueError):
+            build_fock(basis, (4, 0))
 
     @pytest.mark.parametrize(
         "N,n_max", [(N, n) for N in range(1, 7) for n in range(7)] + [(8, 12)]
@@ -93,7 +95,7 @@ class TestFockBasis:
         basis = FockBasis(N, n_max)
         lower = basis.occupations[:basis.sector(n_max)[0]]
         raised = basis.rank(lower[:, None] + np.eye(N, dtype=np.int64))
-        assert np.array_equal(basis._up.T, raised)
+        assert np.array_equal(basis.raising.T, raised)
 
     @pytest.mark.parametrize(
         "N,n_max", [(N, n) for N in (1, 2, 3, 5, 8) for n in (0, 1, 2, 5, 12)] + [(50, 3)]
@@ -115,22 +117,30 @@ class TestFockBasis:
         position = {occupation: i for i, occupation in enumerate(expected)}
         raised = [[position[occupation[:j] + (occupation[j] + 1,) + occupation[j + 1:]]
                    for occupation in expected[:basis.sector(n_max)[0]]] for j in range(N)]
-        assert np.array_equal(basis._up, np.array(raised, dtype=np.int64).reshape(N, -1))
+        assert np.array_equal(basis.raising, np.array(raised, dtype=np.int64).reshape(N, -1))
 
     @pytest.mark.parametrize(
-        "occupation", [(1, 0), (1, 0, 0, 0), (2, -1, 0), (0, 0, 5), (3, 1, 1)]
+        "occupation",
+        [(1, 0), (1, 0, 0, 0), (2, -1, 0), (0, 0, 5), (3, 1, 1),
+         # entries of a non-integer type are refused, not truncated
+         (0.5, 0.5, 0), (1.9, 0, 0), (1.0, 0.0, 2.0), (1, math.nan, 0), (math.inf, 0, 0)],
     )
     def test_index_of_rejects_occupations_outside_the_basis(self, occupation):
+        # build_fock and rank, the two ways to place an occupation vector
         basis = FockBasis(3, 4)
         with pytest.raises(ValueError):
-            basis.index_of(occupation)
+            build_fock(basis, occupation)
+        with pytest.raises(ValueError):
+            basis.rank(occupation)
+        with pytest.raises(ValueError):
+            basis.rank([occupation, (0, 0, 0)])
 
 
 class TestFockState:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
     def test_rejects_non_finite_amplitudes(self, basis2, bad):
         amplitudes = np.zeros(basis2.size, dtype=complex)
-        amplitudes[basis2.index_of((1, 0))] = bad
+        amplitudes[basis2.rank((1, 0))] = bad
         with pytest.raises(ValueError, match="finite"):
             FockState(basis2, amplitudes)
 
@@ -138,7 +148,7 @@ class TestFockState:
 class TestBuildFock:
     def test_single_photon(self, basis2):
         state = build_fock(basis2, (1, 0))
-        assert state.amplitudes[basis2.index_of((1, 0))] == 1.0
+        assert state.amplitudes[basis2.rank((1, 0))] == 1.0
         assert state.tail_mass == 0.0
         assert np.count_nonzero(state.amplitudes) == 1
 
@@ -148,7 +158,7 @@ class TestBuildFock:
 
     def test_first_waveguide_of_four(self, basis4):
         state = build_fock(basis4, (1, 0, 0, 0))
-        assert state.amplitudes[basis4.index_of((1, 0, 0, 0))] == 1.0
+        assert state.amplitudes[basis4.rank((1, 0, 0, 0))] == 1.0
 
     def test_occupation_outside_basis(self, basis2):
         with pytest.raises(ValueError):
@@ -161,7 +171,7 @@ class TestBuildCoherent:
     def test_amplitude_law(self, basis2):
         state = build_coherent(basis2, [1.0, 0.0])
         for j in range(13):
-            amp = state.amplitudes[basis2.index_of((j, 0))]
+            amp = state.amplitudes[basis2.rank((j, 0))]
             expected = math.exp(-0.5) / math.sqrt(math.factorial(j))
             assert amp == pytest.approx(expected, abs=1e-9)
 
@@ -220,8 +230,8 @@ class TestBuildCoherent:
 class TestBuildPathEntangled:
     def test_two_modes(self, basis2):
         state = build_path_entangled(basis2, 0, 1)
-        assert state.amplitudes[basis2.index_of((1, 0))] == pytest.approx(2**-0.5)
-        assert state.amplitudes[basis2.index_of((0, 1))] == pytest.approx(2**-0.5)
+        assert state.amplitudes[basis2.rank((1, 0))] == pytest.approx(2**-0.5)
+        assert state.amplitudes[basis2.rank((0, 1))] == pytest.approx(2**-0.5)
         assert state.tail_mass == 0.0
 
     def test_half_photon_per_mode(self, basis2):
@@ -231,10 +241,10 @@ class TestBuildPathEntangled:
 
     def test_first_two_of_four(self, basis4):
         state = build_path_entangled(basis4, 0, 1)
-        assert state.amplitudes[basis4.index_of((1, 0, 0, 0))] == pytest.approx(
+        assert state.amplitudes[basis4.rank((1, 0, 0, 0))] == pytest.approx(
             2**-0.5
         )
-        assert state.amplitudes[basis4.index_of((0, 1, 0, 0))] == pytest.approx(
+        assert state.amplitudes[basis4.rank((0, 1, 0, 0))] == pytest.approx(
             2**-0.5
         )
 
@@ -251,7 +261,7 @@ class TestBuildTmsv:
             state = build_tmsv(basis2, 0, 1, R_HALF)
         norm = math.sqrt(1.0 - state.tail_mass)
         for j in range(7):
-            amp = state.amplitudes[basis2.index_of((j, j))]
+            amp = state.amplitudes[basis2.rank((j, j))]
             expected = math.tanh(R_HALF) ** j / math.cosh(R_HALF) / norm
             assert amp == pytest.approx(expected, abs=1e-13)
 
@@ -262,7 +272,7 @@ class TestBuildTmsv:
         amplitudes = np.zeros(basis.size, dtype=complex)
         for j in range(5):
             occupation = [0, j, 0, j]
-            amplitudes[basis.index_of(occupation)] = math.tanh(0.7) ** j / math.cosh(0.7)
+            amplitudes[basis.rank(occupation)] = math.tanh(0.7) ** j / math.cosh(0.7)
         kept = float(np.sum(np.abs(amplitudes) ** 2))
         assert np.array_equal(state.amplitudes, amplitudes / math.sqrt(kept))
 
