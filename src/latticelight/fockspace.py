@@ -8,13 +8,13 @@ direction j -> j +/- 1, so each row holds at most 2 (N - 1) + 1 nonzeros and
 no dense block is ever formed.
 
 States are propagated by a Chebyshev expansion of exp(-i H z) (Tal-Ezer and
-Kosloff, J. Chem. Phys. 81, 3967 (1984)), with no eigensolve.  Gershgorin
-discs bound the one-photon spectrum by [lo, hi], hence the n-photon sector
-by [n lo, n hi].  Shifting each sector by n (lo + hi) / 2 centres all
-occupied sectors inside the radius R of the top one, so one expansion
-carries them together.  Its coefficients 2 J_k(R z) come from the
-Jacobi-Anger series of exp(-i x cos t) by FFT, and its degree is the
-smallest whose tail bound sum_{k > K} 2 (x / 2)^k / k! is below rounding.
+Kosloff, J. Chem. Phys. 81, 3967 (1984)), with no eigensolve.  Sturm counts
+bracket the one-photon spectrum by [lo, hi] to about 1e-3 of its width,
+hence the n-photon sector by [n lo, n hi].  Shifting each sector by
+n (lo + hi) / 2 centres all occupied sectors inside the radius R of the top
+one, so one expansion carries them together.  Its coefficients 2 J_k(R z)
+come from the Jacobi-Anger series by FFT, and each z takes the smallest
+degree whose tail bound sum_{k > K} 2 (x / 2)^k / k! at x = R z is below rounding.
 """
 
 from __future__ import annotations
@@ -48,6 +48,8 @@ _MAX_SPAN = 64.0
 _WORK_CAP = 1e10
 # Chebyshev tail bound accepted as rounding
 _TAIL = np.finfo(float).eps
+# Chebyshev terms per product into the amplitudes; rows past their degree drop out at the next
+_FLUSH_TERMS = 16
 # largest drift of an evolved norm from the initial one
 _NORM_DRIFT = 1e-10
 # fidelity targets: the initial state itself, or its mirror image
@@ -107,16 +109,45 @@ def build_sector_hamiltonian(
                              tuple(hops), basis, start, stop)
 
 
+def _spectral_bracket(spec: LatticeSpec) -> tuple[float, float]:
+    """[lo, hi] around the one-photon spectrum, wider by under 1e-3 of its width.
+
+    The eigenvalues below s are the negative pivots of T - s = L D L^T (Barth,
+    Martin and Wilkinson, Numer. Math. 9, 386 (1967)), counted on the chain
+    scaled by its largest entry so that g^2 cannot overflow.  Each end is
+    bisected inside the Gershgorin interval, then padded by rounding."""
+    scale = max(np.max(np.abs(spec.omegas)), np.max(np.abs(spec.couplings)))
+    if scale == 0.0:
+        return 0.0, 0.0
+    diagonal, couplings = spec.omegas / scale, spec.couplings / scale
+    reach = np.convolve(np.abs(couplings), [1.0, 1.0])  # |g_(j-1)| + |g_j|
+    rows = list(zip(diagonal.tolist(), [0.0] + (couplings ** 2).tolist()))
+
+    def below(shift: float) -> int:
+        count, pivot = 0, 1.0
+        for a, b2 in rows:
+            # a zero pivot counts as negative; b2 <= 1, so b2 / 1e-300 stays finite
+            pivot = (a - shift - b2 / pivot) or -1e-300
+            count += pivot < 0.0
+        return count
+
+    lowest = [float(np.min(diagonal - reach)), float(np.max(diagonal + reach))]
+    highest = list(lowest)
+    # the Gershgorin interval spans at most three widths: 2^-13 of it is below 1e-3 / 2
+    for _ in range(13):
+        for bracket, rank in ((lowest, 0), (highest, spec.size - 1)):
+            middle = 0.5 * (bracket[0] + bracket[1])
+            bracket[int(below(middle) > rank)] = middle
+    pad = 64.0 * np.finfo(float).eps
+    return scale * (lowest[0] - pad), scale * (highest[1] + pad)
+
+
 class FockEvolver:
     """Evolves states of one lattice, each in the truncated Fock basis it carries."""
 
     def __init__(self, spec: LatticeSpec):
         self.spec = spec
-        # Gershgorin discs of the one-photon chain: omega_j +/- (|g_{j-1}| + |g_j|)
-        reach = np.zeros(spec.size)
-        reach[:-1] += np.abs(spec.couplings)
-        reach[1:] += np.abs(spec.couplings)
-        lo, hi = np.min(spec.omegas - reach), np.max(spec.omegas + reach)
+        lo, hi = _spectral_bracket(spec)
         self._center = 0.5 * (lo + hi)
         self._half_width = 0.5 * (hi - lo)
 
@@ -166,7 +197,7 @@ class FockEvolver:
             last = min(first + rows_cap,
                        int(np.searchsorted(z_values, anchor + reach, side="right")))
             amplitudes = step(vector, z_values[first:last] - anchor)
-            weights = _probabilities(amplitudes)
+            weights = amplitudes.real ** 2 + amplitudes.imag ** 2
             drift = np.max(np.abs(np.sqrt(weights.sum(axis=1)) - norm))
             if not drift <= _NORM_DRIFT:
                 raise NumericalInconsistencyError(
@@ -203,16 +234,19 @@ class FockEvolver:
             [state.amplitudes if name == "initial" else mirror_state(state).amplitudes
              for name in targets]
         ).reshape(len(targets), state.basis.size)
-        a, b = np.array(pair_list, dtype=np.int64).reshape(-1, 2).T
-        occupations = state.basis.occupations
         means = np.zeros((z_values.size, self.spec.size))
-        g2 = np.zeros((z_values.size, a.size))
+        g2 = np.zeros((z_values.size, len(pair_list)))
         overlaps = np.zeros((z_values.size, len(targets)), dtype=complex)
+        table = None
         for start, stop, rows, amplitudes, weights in self._propagate(state, z_values):
-            block = occupations[start:stop]
-            means[rows] = weights @ block
-            g2[rows] = weights @ (block[:, a] * block[:, b])
-            overlaps[rows] = amplitudes @ conj_targets[:, start:stop].T
+            if table is None:  # every block holds the same occupied range
+                table = state.basis.occupations[start:stop].astype(float)
+            means[rows] = weights @ table
+            # one contraction per column, so no column depends on the others requested
+            for column, (p, q) in enumerate(pair_list):
+                g2[rows, column] = weights @ (table[:, p] * table[:, q])
+            for column, target in enumerate(conj_targets):
+                overlaps[rows, column] = amplitudes @ target[start:stop]
         return Trace(z_values, means, g2, pair_list, np.abs(overlaps), tuple(targets))
 
 
@@ -220,22 +254,21 @@ class _ChebyshevStep:
     """exp(-i H tau) on the sectors of one SectorHamiltonian, for a few tau.
 
     The shifted, scaled Hamiltonian Hs = (H - n c) / R has its spectrum in
-    [-1, 1], and exp(-i H tau) = exp(-i n c tau) sum_k b_k(R tau) psi_k with
-    b_k(x) = (2 - delta_k0) J_k(x) and psi_k = (-i)^k T_k(Hs) psi_0, which
-    obey psi_{k+1} = psi_{k-1} - 2i Hs psi_k.  Hs is kept as one column and
-    one weight per row and slot: the diagonal, then the row's hops in
-    direction order, the s-th in slot 1 + s.  There are 1 + the most hops
-    any row has slots, and a row with fewer reads itself with weight zero
-    in the rest.
-    Vectors are (re, im) pairs for even k and (im, re) pairs for odd k:
-    multiplying by -2i swaps the parts, so each step then needs one gather
-    and one elementwise product and no reordering.
+    [-1, 1], and exp(-i H tau) = exp(-i n c tau) sum_k (-i)^k b_k(R tau) phi_k
+    with b_k(x) = (2 - delta_k0) J_k(x) and phi_k = T_k(Hs) phi_0, which obey
+    the real recurrence phi_{k+1} = 2 Hs phi_k - phi_{k-1}.  2 Hs is kept as
+    one column and one weight per row and slot: the diagonal, then the row's
+    hops in direction order, the s-th in slot 1 + s.  There are 1 + the most
+    hops any row has slots, and a row with fewer reads itself with weight
+    zero in the rest.  The phi_k are summed into the amplitudes a stack of
+    them at a time; each tau stops at the degree its own R tau needs, and
+    since the taus ascend, the rows already done are a prefix.
     """
 
     def __init__(self, hamiltonian: SectorHamiltonian, center: float, radius: float):
-        low, top = hamiltonian.low, hamiltonian.top
-        dim = hamiltonian.stop - hamiltonian.start
-        photons = hamiltonian.basis.occupations[hamiltonian.start:hamiltonian.stop].sum(axis=1)
+        basis, start = hamiltonian.basis, hamiltonian.start
+        dim = hamiltonian.stop - start
+        photons = basis.occupations[start:hamiltonian.stop].sum(axis=1)
         hops = np.zeros(dim, dtype=np.int64)
         for rows, _, _ in hamiltonian.hops:
             hops[rows] += 1
@@ -249,93 +282,95 @@ class _ChebyshevStep:
             weights[slot[rows], rows] = values
             slot[rows] += 1
         weights *= 2.0 / radius if radius > 0 else 0.0
-        # -2i Hs (u + iv) = 2 Hs v - 2i Hs u, by the parity of the input's k
-        self._weights = (np.stack((-weights, weights), axis=-1),
-                         np.stack((weights, -weights), axis=-1))
-        self._sector_of = photons - low
-        self._photons = np.arange(low, top + 1)
+        self._weights = np.stack((weights, weights), axis=-1)
+        self._photons = np.arange(hamiltonian.low, hamiltonian.top + 1)
+        self._sectors = [slice(*(np.array(basis.sector(n)) - start)) for n in self._photons]
         self._center = center
         self._radius = radius
 
-    def _hop(self, pairs: np.ndarray, parity: int) -> np.ndarray:
-        """-2i Hs psi_k for psi_k stored as pairs of shape [dim, 2]."""
-        weights = self._weights[parity]
-        gathered = pairs.view(complex)[:, 0][self._columns].view(float)
-        return np.einsum("sdc,sdc->dc", gathered.reshape(weights.shape), weights)
+    def _hop(self, phi: np.ndarray, out: np.ndarray) -> None:
+        """out = 2 Hs phi, both complex vectors."""
+        gathered = phi[self._columns].view(float).reshape(self._weights.shape)
+        np.einsum("sdc,sdc->dc", gathered, self._weights, out=out.view(float).reshape(-1, 2))
 
     def __call__(self, vector: np.ndarray, taus: np.ndarray) -> np.ndarray:
         """Amplitudes exp(-i H tau) vector, one row per entry of ``taus``."""
         x = self._radius * taus
-        coefficients = _bessel_coefficients(x, _degree(float(x[-1])))
-        rows, terms = coefficients.shape
-        dim = vector.size
-        # sums over the even and the odd terms, each in its own pair order
-        sums = np.zeros((2, rows, 2 * dim))
-        stack = np.empty((max(2, min(terms, _BLOCK_AMPLITUDES // dim)), dim, 2))
-        stack[0] = vector.view(float).reshape(dim, 2)
-        previous = current = stack[0]
+        degrees = np.broadcast_to(_degree(x), x.shape)
+        coefficients = _bessel_coefficients(x, int(degrees[-1]))
+        terms = coefficients.shape[1]
+        coefficients[np.arange(terms) > degrees[:, None]] = 0.0
+        amplitudes = np.zeros((x.size, vector.size), dtype=complex)
+        # three slots at least, so a new phi_k never overwrites phi_{k-1} or phi_{k-2}
+        depth = max(3, min(terms, _BLOCK_AMPLITUDES // vector.size, _FLUSH_TERMS))
+        stack = np.empty((depth, vector.size), dtype=complex)
+        stack[0] = vector
         done = 0
         for k in range(1, terms + 1):
             slot = k - done
             if slot == len(stack) or k == terms:
-                flat = stack[:slot].reshape(slot, 2 * dim)
-                for first in (0, 1):
-                    sums[(done + first) % 2] += (
-                        coefficients[:, done + first:k:2] @ flat[first::2])
+                first = int(np.searchsorted(degrees, done))
+                amplitudes[first:] += coefficients[first:, done:k] @ stack[:slot]
                 done, slot = k, 0
                 if k == terms:
                     break
+            # slot - 1 and slot - 2 wrap to the stack's end after a flush
+            self._hop(stack[slot - 1], out=stack[slot])
             if k == 1:
-                np.multiply(self._hop(current, 0), 0.5, out=stack[slot])
+                stack[slot] *= 0.5
             else:
-                np.add(previous, self._hop(current, (k - 1) % 2), out=stack[slot])
-            previous, current = current, stack[slot]
-        pairs = sums[0].reshape(rows, dim, 2) + sums[1].reshape(rows, dim, 2)[..., ::-1]
-        amplitudes = pairs.view(complex)[..., 0]
+                stack[slot] -= stack[slot - 2]
         phases = np.exp(-1j * self._center * np.multiply.outer(taus, self._photons))
-        amplitudes *= phases[:, self._sector_of]
+        for phase, sector in zip(phases.T, self._sectors):
+            amplitudes[:, sector] *= phase[:, None]
         return amplitudes
 
 
-def _degree(x: float) -> int:
-    """Smallest K with sum_{k > K} 2 (x / 2)^k / k! <= _TAIL, a bound on the
-    Chebyshev tail since |J_k(x)| <= (x / 2)^k / k! for x >= 0."""
-    half = 0.5 * x
-    degree, term = 0, 1.0
-    while True:
-        term *= half / (degree + 1)   # (x / 2)^(K + 1) / (K + 1)!
-        ratio = half / (degree + 2)   # bounds each later term ratio
-        if ratio < 1.0 and 2.0 * term / (1.0 - ratio) <= _TAIL:
-            return degree
-        degree += 1
+def _degree(x: np.ndarray) -> np.ndarray:
+    """Smallest K, for each x >= 0, with sum_{k > K} 2 (x / 2)^k / k! <= _TAIL,
+    a bound on the Chebyshev tail since |J_k(x)| <= (x / 2)^k / k!."""
+    return np.searchsorted(_REACH, x)
+
+
+def _tail_reach(count: int) -> np.ndarray:
+    """For K < count, the largest x with 2 (x / 2)^(K + 1) / (K + 1)! / (1 - x / (2K + 4))
+    <= _TAIL, a bound on the tail beyond K that grows with x.  Its logarithm is convex and
+    increasing in u = log(x / (2K + 4)), so Newton steps from u = log 0.9 descend onto it."""
+    k1 = np.arange(1.0, count + 1.0)  # K + 1
+    offset = k1 * np.log(k1 + 1.0) - np.cumsum(np.log(k1)) - math.log(0.5 * _TAIL)
+    u = np.full(count, math.log(0.9))
+    for _ in range(8):
+        t = np.exp(u)
+        u -= (k1 * u - np.log1p(-t) + offset) / (k1 + t / (1.0 - t))
+    return 2.0 * (k1 + 1.0) * np.exp(u)
 
 
 def _bessel_coefficients(x: np.ndarray, degree: int) -> np.ndarray:
-    """b[i, k] = (2 - delta_k0) J_k(x[i]) for k = 0 .. degree.
+    """c[i, k] = (-i)^k b_k(x[i]) = (2 - delta_k0) (-i)^k J_k(x[i]) for k = 0 .. degree.
 
-    exp(-i x cos t) = sum_k c_k(x) e^{ikt} with c_k = (-i)^k J_k(x) (the
-    Jacobi-Anger expansion).  c_k is real for even k and imaginary for odd k,
-    so the real signal cos(x cos t) - sin(x cos t) = sqrt(2) cos(x cos t + pi/4)
-    carries both parts; it is even in t, and its samples at t = pi m / L
-    (m = 0 .. L) give the coefficients by one inverse real FFT.  With
-    L > degree, the aliased terms have index above the degree and lie
-    below the tail bound.  At x = 0 the FFT leaves rounding residues
-    (b_0 = sqrt(2) cos(pi / 4) = 1 + 2e-16), so those rows are set to
-    J_k(0) = delta_k0 exactly.
-    """
+    exp(-i x cos t) = sum_k (-i)^k J_k(x) e^{ikt} (the Jacobi-Anger expansion)
+    has real terms for even k and imaginary ones for odd k, so the real signal
+    cos(x cos t) - sin(x cos t) = sqrt(2) cos(x cos t + pi/4) carries both; it
+    is even in t, and its samples at t = pi m / L (m = 0 .. L) give them by one
+    inverse real FFT.  With L > degree, the aliased terms have index above the
+    degree and lie below the tail bound.  At x = 0 the FFT leaves rounding
+    residues (b_0 = sqrt(2) cos(pi / 4) = 1 + 2e-16), so those rows are set to
+    J_k(0) = delta_k0 exactly."""
     L = degree + 1
     t = np.pi * np.arange(L + 1) / L
     samples = math.sqrt(2.0) * np.cos(np.multiply.outer(x, np.cos(t)) + 0.25 * np.pi)
     parts = np.fft.irfft(samples, n=2 * L, axis=1)[:, :L]
-    # c_k = parts[k] for even k and i parts[k] for odd k; recover J_k's sign
-    signs = np.array([2.0, -2.0, -2.0, 2.0])[np.arange(L) % 4]
-    signs[0] = 1.0
-    coefficients = parts * signs
+    # (-i)^k J_k = parts[k] for even k and i parts[k] for odd k
+    factors = np.where(np.arange(L) % 2, 2j, 2.0)
+    factors[0] = 1.0
+    coefficients = parts * factors
     coefficients[x == 0] = np.eye(1, L)
     return coefficients
 
 
-_MAX_DEGREE = _degree(_MAX_SPAN)
+# the bound passes by K = e x / 2 + 60, where (x / 2)^(K + 1) / (K + 1)! < e^-60
+_REACH = _tail_reach(math.ceil(math.e * _MAX_SPAN / 2) + 61)
+_MAX_DEGREE = int(_degree(_MAX_SPAN))
 
 
 def mirror_state(state: FockState) -> FockState:
@@ -355,8 +390,3 @@ def _occupied_sectors(state: FockState) -> tuple[int, int]:
     low, top = state.basis.occupations[support[[0, -1]]].sum(axis=1)
     return int(low), int(top)
 
-
-def _probabilities(amplitudes: np.ndarray) -> np.ndarray:
-    """|amplitude|^2 along the last axis, as re^2 + im^2."""
-    parts = amplitudes.view(float).reshape(*amplitudes.shape, 2)
-    return np.einsum("...c,...c->...", parts, parts)

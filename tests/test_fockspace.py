@@ -33,6 +33,37 @@ def quiet_tmsv(basis, mode_a=0, mode_b=1, r=R_HALF):
         return build_tmsv(basis, mode_a, mode_b, r)
 
 
+class TestSpectralBracket:
+    @staticmethod
+    def check(spec):
+        # holds LAPACK's spectrum, and is wider by under 1e-3 of its width
+        # plus the rounding pad
+        lo, hi = fockspace._spectral_bracket(spec)
+        values = np.linalg.eigvalsh(jacobi_matrix(spec))
+        scale = max(np.max(np.abs(spec.omegas)), np.max(np.abs(spec.couplings)))
+        assert lo <= values[0] and values[-1] <= hi
+        assert hi - lo <= (1 + 1e-3) * (values[-1] - values[0]) + 1e-12 * scale
+
+    def test_random_chains(self):
+        # signed and zero couplings, scales 1e-3 to 1e3
+        rng = np.random.default_rng(14)
+        for _ in range(1000):
+            N = int(rng.integers(2, 61))
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            couplings = rng.uniform(-1.0, 1.0, N - 1) * (rng.random(N - 1) < 0.8)
+            self.check(LatticeSpec(scale * rng.uniform(-1.0, 1.0, N), scale * couplings))
+
+    def test_chains_at_the_ends_of_the_float_range(self):
+        rng = np.random.default_rng(3)
+        for spec in (LatticeSpec(np.zeros(8), np.full(7, 1e200)),
+                     LatticeSpec(np.zeros(8), np.full(7, 1e-200)),
+                     LatticeSpec(1e200 * rng.uniform(-1, 1, 6),
+                                 [1e200, 1e-200, -1e200, 0.0, 1e-200]),
+                     LatticeSpec(np.full(5, 2.5), np.zeros(4))):
+            self.check(spec)
+        assert fockspace._spectral_bracket(LatticeSpec(np.zeros(5), np.zeros(4))) == (0.0, 0.0)
+
+
 class TestSectorHamiltonian:
     def test_vacuum_sector_is_zero(self, coupler, basis2, dense):
         block = build_sector_hamiltonian(coupler, basis2, 0, 0)
@@ -258,8 +289,73 @@ class TestEvolve:
         # only the [Z, 4] means and [Z, 1] correlations grow: 900 x 5 x 8 bytes
         assert peaks[1] < peaks[0] + 100_000
 
+    def test_sweep_peak_memory(self):
+        # 41 z over the full range of sectors 0 .. 9 of six guides (5005 states)
+        basis = FockBasis(6, 9)
+        state = build_coherent(basis, [0.4, 0.3j, -0.2, 0.1, 0.3 - 0.2j, 0.2])
+        evolver = FockEvolver(make_uniform(6, 0.3, 1.0))
+        tracemalloc.start()
+        try:
+            evolver.sweep(state, np.linspace(0.0, 3.0, 41), [(0, 1), (2, 2), (3, 5)],
+                          ["initial", "mirror"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+
+    def test_rows_stop_at_their_own_degree(self, monkeypatch):
+        # each z sums the terms its own R z needs; taking every row of a
+        # block to the block's largest degree changes nothing above rounding
+        basis = FockBasis(6, 9)
+        state = build_coherent(basis, [0.4, 0.3j, -0.2, 0.1, 0.3 - 0.2j, 0.2])
+        spec = make_uniform(6, 0.3, 1.0)
+        grid, pairs = np.linspace(0.0, 3.0, 41), [(0, 1), (2, 2), (3, 5)]
+        targets = ["initial", "mirror"]
+        own = FockEvolver(spec).sweep(state, grid, pairs, targets)
+        degree, spreads = fockspace._degree, []
+
+        def block_degree(x):
+            spreads.append(np.ptp(degree(x)))
+            return np.full(np.shape(x), np.max(degree(x)))
+
+        monkeypatch.setattr(fockspace, "_degree", block_degree)
+        full = FockEvolver(spec).sweep(state, grid, pairs, targets)
+        assert max(spreads) > 20
+        for mine, reference in ((own.means, full.means), (own.g2, full.g2), (own.fid, full.fid)):
+            assert np.max(np.abs(mine - reference)) <= 1e-14
+
+    def test_degrees_match_the_tail_bound_summed_term_by_term(self):
+        # the reference walks K up, one term of (x / 2)^(K + 1) / (K + 1)! at a time
+        def reference(x):
+            half, degree, term = 0.5 * x, 0, 1.0
+            while True:
+                term *= half / (degree + 1)
+                ratio = half / (degree + 2)
+                if ratio < 1.0 and 2.0 * term / (1.0 - ratio) <= fockspace._TAIL:
+                    return degree
+                degree += 1
+
+        grid = np.linspace(0.0, fockspace._MAX_SPAN, 4001)
+        assert np.array_equal(fockspace._degree(grid), [reference(x) for x in grid])
+        assert fockspace._MAX_DEGREE == reference(fockspace._MAX_SPAN)
+
 
 class TestFidelity:
+    def test_columns_do_not_depend_on_the_others_requested(self, basis4):
+        # each g2 and each fidelity column is its own contraction, bit for bit
+        spec = make_perfect_transfer(4, 1.0)
+        state = build_coherent(basis4, [0.6, 0.2j, -0.3, 0.1])
+        grid = np.linspace(0.0, 2.0, 41)
+        evolver = FockEvolver(spec)
+        pairs = [(0, 1), (0, 0), (1, 2), (2, 3), (1, 3), (3, 3)]
+        together = evolver.sweep(state, grid, pairs, ["initial", "mirror"])
+        for column, pair in enumerate(pairs):
+            alone = evolver.sweep(state, grid, [pair])
+            assert np.array_equal(alone.g2[:, 0], together.g2[:, column])
+        for column, target in enumerate(["initial", "mirror"]):
+            alone = evolver.sweep(state, grid, [], [target])
+            assert np.array_equal(alone.fid[:, 0], together.fid[:, column])
+
     def test_identical_states(self, coupler, basis2):
         state = build_path_entangled(basis2, 0, 1)
         trace = propagate(coupler, state, [0.0], targets=["initial"], engine="fock")
