@@ -109,16 +109,17 @@ def build_sector_hamiltonian(
                              tuple(hops), basis, start, stop)
 
 
-def _spectral_bracket(spec: LatticeSpec) -> tuple[float, float]:
-    """[lo, hi] around the one-photon spectrum, wider by under 1e-3 of its width.
+def sturm_brackets(spec: LatticeSpec, ranks, halvings: int) -> np.ndarray:
+    """One [lo, hi] row around each one-photon eigenvalue of the given ranks
+    (0 is the lowest), after ``halvings`` bisections.
 
     The eigenvalues below s are the negative pivots of T - s = L D L^T (Barth,
     Martin and Wilkinson, Numer. Math. 9, 386 (1967)), counted on the chain
-    scaled by its largest entry so that g^2 cannot overflow.  Each end is
+    scaled by its largest entry so that g^2 cannot overflow.  Each bracket is
     bisected inside the Gershgorin interval, then padded by rounding."""
     scale = max(np.max(np.abs(spec.omegas)), np.max(np.abs(spec.couplings)))
     if scale == 0.0:
-        return 0.0, 0.0
+        return np.zeros((len(ranks), 2))
     diagonal, couplings = spec.omegas / scale, spec.couplings / scale
     reach = np.convolve(np.abs(couplings), [1.0, 1.0])  # |g_(j-1)| + |g_j|
     rows = list(zip(diagonal.tolist(), [0.0] + (couplings ** 2).tolist()))
@@ -131,15 +132,16 @@ def _spectral_bracket(spec: LatticeSpec) -> tuple[float, float]:
             count += pivot < 0.0
         return count
 
-    lowest = [float(np.min(diagonal - reach)), float(np.max(diagonal + reach))]
-    highest = list(lowest)
-    # the Gershgorin interval spans at most three widths: 2^-13 of it is below 1e-3 / 2
-    for _ in range(13):
-        for bracket, rank in ((lowest, 0), (highest, spec.size - 1)):
+    gershgorin = [float(np.min(diagonal - reach)), float(np.max(diagonal + reach))]
+    brackets = []
+    for rank in ranks:
+        bracket = list(gershgorin)
+        for _ in range(halvings):
             middle = 0.5 * (bracket[0] + bracket[1])
             bracket[int(below(middle) > rank)] = middle
+        brackets.append(bracket)
     pad = 64.0 * np.finfo(float).eps
-    return scale * (lowest[0] - pad), scale * (highest[1] + pad)
+    return scale * (np.array(brackets) + [-pad, pad])
 
 
 class FockEvolver:
@@ -147,7 +149,9 @@ class FockEvolver:
 
     def __init__(self, spec: LatticeSpec):
         self.spec = spec
-        lo, hi = _spectral_bracket(spec)
+        # the Gershgorin interval spans at most three widths of the spectrum,
+        # so 13 halvings leave each end within 1e-3 / 2 of the width
+        (lo, _), (_, hi) = sturm_brackets(spec, (0, spec.size - 1), 13)
         self._center = 0.5 * (lo + hi)
         self._half_width = 0.5 * (hi - lo)
 
@@ -268,13 +272,16 @@ class _ChebyshevStep:
     def __init__(self, hamiltonian: SectorHamiltonian, center: float, radius: float):
         basis, start = hamiltonian.basis, hamiltonian.start
         dim = hamiltonian.stop - start
-        photons = basis.occupations[start:hamiltonian.stop].sum(axis=1)
+        self._photons = np.arange(hamiltonian.low, hamiltonian.top + 1)
+        self._sectors = [slice(*(np.array(basis.sector(n)) - start)) for n in self._photons]
         hops = np.zeros(dim, dtype=np.int64)
         for rows, _, _ in hamiltonian.hops:
             hops[rows] += 1
         self._columns = np.tile(np.arange(dim), (1 + hops.max(initial=0), 1))
         weights = np.zeros(self._columns.shape)
-        weights[0] = hamiltonian.diagonal - center * photons
+        weights[0] = hamiltonian.diagonal
+        for n, sector in zip(self._photons, self._sectors):
+            weights[0, sector] -= center * n
         # each direction holds a row once, so its hop takes the row's next slot
         slot = np.ones(dim, dtype=np.int64)
         for rows, columns, values in hamiltonian.hops:
@@ -283,8 +290,6 @@ class _ChebyshevStep:
             slot[rows] += 1
         weights *= 2.0 / radius if radius > 0 else 0.0
         self._weights = np.stack((weights, weights), axis=-1)
-        self._photons = np.arange(hamiltonian.low, hamiltonian.top + 1)
-        self._sectors = [slice(*(np.array(basis.sector(n)) - start)) for n in self._photons]
         self._center = center
         self._radius = radius
 

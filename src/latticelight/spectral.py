@@ -10,7 +10,8 @@ families their closed-form propagators.  The eigenpairs come from LAPACK's
 symmetric solver (``numpy.linalg.eigh``), which scales the matrix internally,
 so chains with couplings anywhere in the floating-point range are solved.
 The Fock engine makes no eigendecomposition, and ``verify`` checks the
-spectra against closed forms that need no eigensolver.
+spectra against oracles that need no eigensolver: the uniform chain's cosine
+law, and Hermite zeros by Sturm-count bisection of the Hermite recursion.
 """
 
 from __future__ import annotations

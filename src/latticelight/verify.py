@@ -6,11 +6,11 @@ deterministic output) to an explicit tolerance.  ``run_acceptance`` executes
 all of them and is what the ``verify`` CLI command reports.
 
 The oracles here need no eigensolver, so they check the one the moments
-engine uses (LAPACK ``eigh``) independently: the Hermite-zero finder for the
-square-root-graded chain brackets roots by interlacing and bisects the plain
-three-term polynomial recursion, the uniform chain is checked against the
-cosine law, and the balanced two-waveguide coupler against its closed form
-cos^2(gz), sin^2(gz) and |cos gz|.
+engine uses (LAPACK ``eigh``) independently: the square-root-graded chain is
+checked against Hermite zeros found by Sturm-count bisection of the Hermite
+recursion, the uniform chain against the cosine law, and the balanced
+two-waveguide coupler against its closed form cos^2(gz), sin^2(gz) and
+|cos gz|.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from importlib import resources
 
 import numpy as np
 
+from .fockspace import sturm_brackets
 from .lattice import (
     LatticeSpec,
     make_binary,
@@ -70,42 +71,18 @@ def _result(name: str, error: float, tolerance: float, note: str = "") -> CheckR
 
 
 def hermite_zeros(n: int) -> np.ndarray:
-    """Zeros of the physicists' Hermite polynomial H_n by interlacing bisection."""
+    """Zeros of the physicists' Hermite polynomial H_n, ascending.
+
+    They are the eigenvalues of the Jacobi matrix of the recursion
+    x H_k = H_(k+1) / 2 + k H_(k-1), whose orthonormal form has zero diagonal
+    and couplings sqrt(k / 2) for k = 1 .. n - 1.  Sturm-count bisection
+    halves each zero's Gershgorin bracket 64 times, past double precision."""
     if n < 1:
         raise ValueError("n must be >= 1")
-
-    def value(k: int, x: float) -> float:
-        h_prev, h = 1.0, 2.0 * x
-        for j in range(1, k):
-            h_prev, h = h, 2.0 * x * h - 2.0 * j * h_prev
-        return h if k >= 1 else h_prev
-
-    roots = np.array([0.0])
-    for k in range(2, n + 1):
-        bound = math.sqrt(4.0 * k + 2.0)
-        brackets = np.concatenate(([-bound], roots, [bound]))
-        new_roots = []
-        for a, b in zip(brackets[:-1], brackets[1:]):
-            fa, fb = value(k, a), value(k, b)
-            if fa == 0.0:
-                new_roots.append(a)
-                continue
-            if fa * fb > 0:
-                raise RuntimeError("interlacing bracket failed")
-            for _ in range(200):
-                mid = 0.5 * (a + b)
-                if b - a <= 1e-14 * max(1.0, abs(mid)):
-                    break
-                fm = value(k, mid)
-                if fm == 0.0:
-                    a = b = mid
-                elif fa * fm < 0:
-                    b, fb = mid, fm
-                else:
-                    a, fa = mid, fm
-            new_roots.append(0.5 * (a + b))
-        roots = np.array(new_roots)
-    return roots
+    if n == 1:
+        return np.zeros(1)
+    recursion = LatticeSpec(np.zeros(n), np.sqrt(np.arange(1, n) / 2.0))
+    return sturm_brackets(recursion, range(n), 64).mean(axis=1)
 
 
 def run_acceptance(fault: str | None = None) -> list[CheckResult]:

@@ -38,7 +38,7 @@ class TestSpectralBracket:
     def check(spec):
         # holds LAPACK's spectrum, and is wider by under 1e-3 of its width
         # plus the rounding pad
-        lo, hi = fockspace._spectral_bracket(spec)
+        (lo, _), (_, hi) = fockspace.sturm_brackets(spec, (0, spec.size - 1), 13)
         values = np.linalg.eigvalsh(jacobi_matrix(spec))
         scale = max(np.max(np.abs(spec.omegas)), np.max(np.abs(spec.couplings)))
         assert lo <= values[0] and values[-1] <= hi
@@ -51,7 +51,13 @@ class TestSpectralBracket:
             N = int(rng.integers(2, 61))
             scale = 10.0 ** rng.uniform(-3.0, 3.0)
             couplings = rng.uniform(-1.0, 1.0, N - 1) * (rng.random(N - 1) < 0.8)
-            self.check(LatticeSpec(scale * rng.uniform(-1.0, 1.0, N), scale * couplings))
+            spec = LatticeSpec(scale * rng.uniform(-1.0, 1.0, N), scale * couplings)
+            self.check(spec)
+            # interior ranks: each bracket holds the eigenvalue of its own rank
+            ranks = sorted({1, N // 2, N - 2})
+            brackets = fockspace.sturm_brackets(spec, ranks, 30)
+            values = np.linalg.eigvalsh(jacobi_matrix(spec))[ranks]
+            assert np.all((brackets[:, 0] <= values) & (values <= brackets[:, 1]))
 
     def test_chains_at_the_ends_of_the_float_range(self):
         rng = np.random.default_rng(3)
@@ -61,7 +67,8 @@ class TestSpectralBracket:
                                  [1e200, 1e-200, -1e200, 0.0, 1e-200]),
                      LatticeSpec(np.full(5, 2.5), np.zeros(4))):
             self.check(spec)
-        assert fockspace._spectral_bracket(LatticeSpec(np.zeros(5), np.zeros(4))) == (0.0, 0.0)
+        zero = LatticeSpec(np.zeros(5), np.zeros(4))
+        assert fockspace.sturm_brackets(zero, (0, 4), 13).tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
 
 class TestSectorHamiltonian:

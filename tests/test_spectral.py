@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,21 @@ class TestEigendecompose:
         spectrum = eigendecompose(make_glauber_fock(N, 0.0, 1.0))
         expected = np.sort(math.sqrt(2.0) * hermite_zeros(N))
         assert np.max(np.abs(spectrum.eigenvalues - expected)) < 1e-8
+
+    @pytest.mark.parametrize("n", [1, 2, 120, 256])
+    def test_hermite_zeros_match_the_recursion_eigenvalues(self, n):
+        # Jacobi matrix of the orthonormal Hermite recursion, solved by LAPACK
+        couplings = np.sqrt(np.arange(1, n) / 2.0)
+        expected = np.linalg.eigvalsh(np.diag(couplings, 1) + np.diag(couplings, -1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            zeros = hermite_zeros(n)
+        assert zeros.shape == (n,)
+        assert np.max(np.abs(zeros - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_hermite_zeros_need_a_degree(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            hermite_zeros(0)
 
     def test_square_root_chain_eigenvector_components(self):
         # eigenvector components are proportional to H_k(lambda / sqrt(2));
