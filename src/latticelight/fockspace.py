@@ -37,14 +37,20 @@ __all__ = [
     "mirror_state",
 ]
 
-# working-set budget in amplitudes (1 MiB complex): bounds the grid rows of
-# one expansion, its stack of Chebyshev vectors and its coefficient table
-_BLOCK_AMPLITUDES = 1 << 16
+# bytes one expansion may hold: per state, 24 for each row (amplitudes and
+# |a|^2 weights) and 32 for each stacked Chebyshev vector (the stack and a
+# flush temporary of as many rows, or of 1 MiB); 64 per row and term of the
+# coefficients
+_BLOCK_BYTES = 96 << 20
+# seconds per Chebyshev term: a gather per hop slot and state, a multiply-add
+# per state of each row still summed, and the fixed cost of a product (timed
+# on one core of a 2-core x86-64 host at N = 2 .. 8, n_max = 9 .. 12)
+_GATHER_S, _ACCUMULATE_S, _PRODUCT_S = 2.7e-9, 1e-9, 1.5e-5
 # largest scaled distance R * dz one expansion covers; longer steps are cut
 _MAX_SPAN = 64.0
-# refusal threshold on Chebyshev degree x nonzeros of one sweep, checked
-# before anything is allocated: about 90 s of sparse products on one core
-# (measured at N = 8, n_max = 12, where a term costs about 9 ns per nonzero)
+# refusal threshold on the planned hop products x nonzeros of one sweep:
+# about 75 s on one core (at N = 8, n_max = 12 a product with its share of
+# the sums costs about 7.5 ns per nonzero)
 _WORK_CAP = 1e10
 # Chebyshev tail bound accepted as rounding
 _TAIL = np.finfo(float).eps
@@ -162,10 +168,12 @@ class FockEvolver:
         ``rows[i]`` and ``weights`` their squared moduli.
 
         The occupied sectors form one range [start, stop) that one Chebyshev
-        expansion carries.  The grid is cut into row blocks, each expanded
-        from the last state of the one before, so the working set stays
-        within ``_BLOCK_AMPLITUDES`` amplitudes (or a few vectors of the
-        range) whatever the grid length and the degree.
+        expansion carries.  ``_plan`` cuts the grid into row blocks, each
+        expanded from the last state of the one before, and counts their
+        products before anything is allocated; a block is released before
+        the next is summed, so the working set stays within _BLOCK_BYTES
+        (or a few vectors of the range) whatever the grid length and the
+        degree.
         """
         basis = state.basis
         low, top = _occupied_sectors(state)
@@ -174,41 +182,35 @@ class FockEvolver:
         start, stop = basis.sector(low)[0], basis.sector(top)[1]
         dim = stop - start
         radius = top * self._half_width
-        # the expansions take more terms in all than the scaled distance R z
-        span = radius * z_values[-1]
         # a row of sector n has at most min(2 (N - 1), 2 n) hops: each
         # occupied mode sends a photon left or right
-        nonzeros = dim * (1 + min(2 * (basis.num_modes - 1), 2 * top))
-        if not span * nonzeros <= _WORK_CAP:
+        slots = 1 + min(2 * (basis.num_modes - 1), 2 * top)
+        blocks, products = _plan(z_values, radius, dim, slots)
+        if not products * dim * slots <= _WORK_CAP:
             raise WorkCapError(
-                f"sector {top} needs Chebyshev degree above {span:.3g} up to "
-                f"z = {z_values[-1]:g}; with {nonzeros} nonzeros that exceeds the "
+                f"sector {top} needs Chebyshev degree {products:.3g} in all up to "
+                f"z = {z_values[-1]:g}; with {dim * slots} nonzeros that exceeds the "
                 f"work cap {_WORK_CAP:.0e}"
             )
         step = _ChebyshevStep(build_sector_hamiltonian(self.spec, basis, low, top),
                               self._center, radius)
         vector = state.amplitudes[start:stop]
         norm = np.linalg.norm(vector)
-        rows_cap = max(1, min(_BLOCK_AMPLITUDES // dim, _BLOCK_AMPLITUDES // (_MAX_DEGREE + 1)))
-        reach = _MAX_SPAN / radius if radius > 0 else math.inf
-        anchor, first = 0.0, 0
-        while first < z_values.size:
-            if z_values[first] - anchor > reach:
-                # a step beyond one expansion's span passes through z = anchor + reach
-                vector = step(vector, np.array([reach]))[0]
-                anchor += reach
-                continue
-            last = min(first + rows_cap,
-                       int(np.searchsorted(z_values, anchor + reach, side="right")))
+        bridge = np.array([_MAX_SPAN / radius]) if radius > 0 else None
+        for bridges, anchor, first, last in blocks:
+            for _ in range(bridges):
+                vector = step(vector, bridge)[0]
             amplitudes = step(vector, z_values[first:last] - anchor)
-            weights = amplitudes.real ** 2 + amplitudes.imag ** 2
+            weights = np.abs(amplitudes)
+            weights *= weights
             drift = np.max(np.abs(np.sqrt(weights.sum(axis=1)) - norm))
             if not drift <= _NORM_DRIFT:
                 raise NumericalInconsistencyError(
                     f"evolved norm drifted by {drift:.3e} before z={z_values[last - 1]}"
                 )
             yield start, stop, slice(first, last), amplitudes, weights
-            vector, anchor, first = amplitudes[-1], z_values[last - 1], last
+            # the next block starts from the last row and holds no other
+            vector, amplitudes, weights = amplitudes[-1].copy(), None, None
 
     def _checked(self, state: FockState, z_grid, pairs):
         """``check_sweep`` for a state, refused first if its mode count is not the lattice's."""
@@ -251,6 +253,7 @@ class FockEvolver:
                 g2[rows, column] = weights @ (table[:, p] * table[:, q])
             for column, target in enumerate(conj_targets):
                 overlaps[rows, column] = amplitudes @ target[start:stop]
+            del amplitudes, weights  # released before the next block is summed
         return Trace(z_values, means, g2, pair_list, np.abs(overlaps), tuple(targets))
 
 
@@ -305,9 +308,9 @@ class _ChebyshevStep:
         coefficients = _bessel_coefficients(x, int(degrees[-1]))
         terms = coefficients.shape[1]
         coefficients[np.arange(terms) > degrees[:, None]] = 0.0
-        amplitudes = np.zeros((x.size, vector.size), dtype=complex)
-        # three slots at least, so a new phi_k never overwrites phi_{k-1} or phi_{k-2}
-        depth = max(3, min(terms, _BLOCK_AMPLITUDES // vector.size, _FLUSH_TERMS))
+        depth = max(3, min(terms, _stack_depth(vector.size)))
+        # rows per flush product: the temporary stays within the stack or 1 MiB
+        chunk = max(depth, (1 << 16) // vector.size)
         stack = np.empty((depth, vector.size), dtype=complex)
         stack[0] = vector
         done = 0
@@ -315,7 +318,11 @@ class _ChebyshevStep:
             slot = k - done
             if slot == len(stack) or k == terms:
                 first = int(np.searchsorted(degrees, done))
-                amplitudes[first:] += coefficients[first:, done:k] @ stack[:slot]
+                if done:
+                    for a in range(first, x.size, chunk):
+                        amplitudes[a:a + chunk] += coefficients[a:a + chunk, done:k] @ stack[:slot]
+                else:  # the first flush holds every row
+                    amplitudes = coefficients[:, :k] @ stack[:slot]
                 done, slot = k, 0
                 if k == terms:
                     break
@@ -329,6 +336,58 @@ class _ChebyshevStep:
         for phase, sector in zip(phases.T, self._sectors):
             amplitudes[:, sector] *= phase[:, None]
         return amplitudes
+
+
+def _stack_depth(dim: int) -> int:
+    """Chebyshev vectors per flush: _FLUSH_TERMS, or what half the budget
+    holds with the flush temporary; three at least, so that a new phi_k
+    never overwrites phi_(k-1) or phi_(k-2)."""
+    return max(3, min(_FLUSH_TERMS, _BLOCK_BYTES // (64 * dim)))
+
+
+def _plan(z_values: np.ndarray, radius: float, dim: int, slots: int):
+    """Blocks (bridges, anchor, first, last) of a sweep and the hop products
+    they make, planned before anything is allocated: ``bridges`` steps
+    across the longest span _MAX_SPAN / R, then the rows [first, last)
+    from z = ``anchor`` in _degree(R (z[last - 1] - anchor)) products.
+
+    Of the rows within that span and _BLOCK_BYTES, a block takes those with
+    the least cost per unit of z, pricing each term at a gather per slot
+    and state plus a fixed cost for the product, and a multiply-add per
+    state of each row still summed."""
+    if not float(radius) * float(z_values[-1]) < math.inf:
+        return [], math.inf
+    reach = _MAX_SPAN / radius if radius > 0 else math.inf
+    product_s, row_s = slots * dim * _GATHER_S + _PRODUCT_S, dim * _ACCUMULATE_S
+    rows_cap = max(1, (_BLOCK_BYTES - 32 * dim * _stack_depth(dim))
+                   // (24 * dim + 64 * (_MAX_DEGREE + 2)))
+    blocks, products, anchor, first = [], 0, 0.0, 0
+    while first < z_values.size:
+        # steps of the longest span up to one span short of the next row
+        bridges = max(0, math.ceil((z_values[first] - anchor) / reach) - 1)
+        if bridges:
+            products += bridges * float(np.searchsorted(_REACH, radius * reach))
+            anchor += bridges * reach
+        stop = max(first + 1, min(first + rows_cap,
+                                  int(np.searchsorted(z_values, anchor + reach, side="right"))))
+        distances = z_values[first:stop] - anchor
+        degrees = np.searchsorted(_REACH, radius * distances)  # as _degree gives them
+        rows = stop - first
+        if degrees[-1]:
+            cost = degrees * product_s + np.cumsum(degrees + 1) * row_s
+            moved = np.flatnonzero(distances > 0)
+            rows = 1 + int(moved[np.argmin(cost[moved] / distances[moved])])
+            if first + rows < stop == z_values.size:
+                # the last rows join this block if that saves a product
+                rest = np.searchsorted(_REACH, radius * (z_values[first + rows:]
+                                                         - z_values[first + rows - 1]))
+                alone = (rest[-1] - 1) * product_s + np.sum(rest + 1) * row_s
+                if cost[-1] - cost[rows - 1] <= alone:
+                    rows = stop - first
+        blocks.append((bridges, anchor, first, first + rows))
+        products += int(degrees[rows - 1])
+        anchor, first = z_values[first + rows - 1], first + rows
+    return blocks, products
 
 
 def _degree(x: np.ndarray) -> np.ndarray:

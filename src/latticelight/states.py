@@ -66,6 +66,15 @@ class FockBasis:
             raise ValueError("max_total must be non-negative")
         self.num_modes = N = int(num_modes)
         self.max_total = int(max_total)
+        # the largest offset, the state count, must be an int64 index
+        count = math.comb(N + self.max_total, N)
+        if count > np.iinfo(np.int64).max:
+            exponent = int(math.log10(count))
+            raise ValueError(
+                f"{N} modes with up to {self.max_total} photons span "
+                f"{count // 10 ** (exponent - 2) / 100:.2f}e{exponent} basis states, "
+                f"more than an int64 index holds"
+            )
         # offsets[n] = number of basis states with fewer than n photons
         self._offsets = np.array(
             [math.comb(n + N - 1, N) for n in range(self.max_total + 2)], dtype=np.int64

@@ -5,6 +5,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import time
 import tracemalloc
 from importlib import resources
 from pathlib import Path
@@ -231,6 +232,30 @@ class TestWorkCapRefusal:
         err = capsys.readouterr().err
         assert code == 2
         assert "sector 1 needs Chebyshev degree" in err and "work cap" in err
+        assert not out_path.exists()
+
+
+class TestUnindexableBasis:
+    """1000 guides with up to 12 photons span 2.25e27 basis states, beyond
+    int64 indices: the state is refused as a config error before any
+    array is made."""
+
+    @pytest.mark.parametrize("state", [
+        {"kind": "fock", "occupation": [1] + [0] * 999},
+        {"kind": "path_entangled", "mode_a": 0, "mode_b": 1},
+        {"kind": "tmsv", "mode_a": 0, "mode_b": 1, "r": 0.5},
+    ], ids=["fock", "path_entangled", "tmsv"])
+    def test_exit_2_with_the_state_count(self, capsys, tmp_path, state):
+        cfg = {"lattice": {"family": "uniform", "N": 1000, "omega": 0.0, "g": 1.0},
+               "state": state, "n_max": 12, "pairs": [[0, 1]],
+               "z_grid": {"start": 0.0, "stop": 1.0, "steps": 11}, "engine": "moments"}
+        out_path = tmp_path / "trace.csv"
+        start = time.perf_counter()
+        code = main(["propagate", "--config", write_config(tmp_path, cfg), "--out", str(out_path)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert ("config error: state: 1000 modes with up to 12 photons span 2.25e27 "
+                "basis states") in capsys.readouterr().err
         assert not out_path.exists()
 
 

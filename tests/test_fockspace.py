@@ -186,6 +186,52 @@ class TestSectorHamiltonian:
         with pytest.raises(fockspace.WorkCapError, match=r"with 100500 nonzeros"):
             FockEvolver(spec).sweep(state, [0.0, 1.0])
 
+    @pytest.mark.parametrize("grid", [np.linspace(0.0, 3.0, 41), np.linspace(0.0, 3.0, 2001),
+                                      np.array([0.0, 0.5, 12.0])], ids=["41z", "2001z", "bridged"])
+    def test_planned_products_are_the_products_made(self, grid, monkeypatch):
+        # the work cap weighs the plan, so the plan must be what the sweep does;
+        # 12 units of z take steps of the longest span before the last row
+        basis = FockBasis(6, 9)
+        state = build_coherent(basis, [0.4, 0.3j, -0.2, 0.1, 0.3 - 0.2j, 0.2])
+        plan, hop = fockspace._plan, fockspace._ChebyshevStep._hop
+        planned, made = [], []
+
+        def record(*args):
+            planned.append(plan(*args))
+            return planned[-1]
+
+        def count(step, phi, out):
+            made.append(1)
+            hop(step, phi, out)
+
+        monkeypatch.setattr(fockspace, "_plan", record)
+        monkeypatch.setattr(fockspace._ChebyshevStep, "_hop", count)
+        FockEvolver(make_uniform(6, 0.3, 1.0)).sweep(state, grid, [(0, 1)])
+        (blocks, products), = planned
+        assert products == len(made) > 0
+        assert sum(bridges for bridges, *_ in blocks) == (2 if grid.size == 3 else 0)
+
+    def test_eight_guides_at_n_max_12_plan_a_fifth_of_the_products(self, monkeypatch):
+        # alpha_0 = 1 over 201 z in [0, 5]: one expansion per z row would make
+        # 2400 products; the plan is read before anything is allocated
+        state = build_coherent(FockBasis(8, 12), [1.0] + [0.0] * 7)
+        plan, planned = fockspace._plan, []
+
+        class Planned(Exception):
+            pass
+
+        def record(*args):
+            planned.append(plan(*args))
+            raise Planned
+
+        monkeypatch.setattr(fockspace, "_plan", record)
+        with pytest.raises(Planned):
+            FockEvolver(make_uniform(8, 0.0, 1.0)).sweep(
+                state, np.linspace(0.0, 5.0, 201), [(j, j + 1) for j in range(7)])
+        (blocks, products), = planned
+        assert products <= 480
+        assert blocks[-1][3] == 201
+
     def test_largest_sector_propagates(self):
         # 8 guides, 12 photons: sector 12 has dimension 50 388
         basis = FockBasis(8, 12)

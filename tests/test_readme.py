@@ -7,6 +7,8 @@ import re
 import warnings
 from pathlib import Path
 
+import pytest
+
 import latticelight
 from latticelight import TruncationWarning
 
@@ -49,9 +51,17 @@ def test_public_surface():
     assert all(f"`{name}`" in library_section() for name in EXPORTED)
     imported = re.search(r"from latticelight import ([^\n]+)", library_example()).group(1)
     assert {name.strip() for name in imported.split(",")} <= EXPORTED
-    # every listed name resolves, in the package and in each of its modules
-    modules = [latticelight] + [importlib.import_module(f"latticelight.{info.name}")
-                                for info in pkgutil.iter_modules(latticelight.__path__)]
-    for module in modules:
-        for name in getattr(module, "__all__", ()):
-            assert hasattr(module, name), f"{module.__name__}.__all__ lists {name}"
+
+
+LISTING = [module.__name__ for module in
+           [latticelight] + [importlib.import_module(f"latticelight.{info.name}")
+                             for info in pkgutil.iter_modules(latticelight.__path__)]
+           if hasattr(module, "__all__")]
+
+
+@pytest.mark.parametrize("name", LISTING)
+def test_every_listed_name_resolves(name):
+    # in the package and in each of its modules, once
+    module = importlib.import_module(name)
+    assert [entry for entry in module.__all__ if not hasattr(module, entry)] == []
+    assert len(set(module.__all__)) == len(module.__all__)
