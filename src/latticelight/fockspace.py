@@ -2,10 +2,11 @@
 
 The chain Hamiltonian conserves the total photon number, so the truncated
 basis splits into closed fixed-total sectors and states never leak between
-them.  A sector Hamiltonian is stored as hop arrays: its diagonal
-``occupations @ omegas`` plus one (row, column, weight) triple per hop
-direction j -> j +/- 1, so each row holds at most 2 (N - 1) + 1 nonzeros and
-no dense block is ever formed.
+them.  The Hamiltonian of the occupied sectors is stored as one column and
+one weight per row and slot: the diagonal ``occupations @ omegas``, then the
+row's hops j -> j +/- 1.  A row of sector n has at most min(2 (N - 1), 2 n)
+hops, so the slots number 1 + min(2 (N - 1), 2 top), and no dense block is
+ever formed.
 
 States are propagated by a Chebyshev expansion of exp(-i H z) (Tal-Ezer and
 Kosloff, J. Chem. Phys. 81, 3967 (1984)), with no eigensolve.  Sturm counts
@@ -20,7 +21,6 @@ degree whose tail bound sum_{k > K} 2 (x / 2)^k / k! at x = R z is below roundin
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,8 +31,6 @@ from .states import FockBasis, FockState
 __all__ = [
     "FIDELITY_TARGETS",
     "WorkCapError",
-    "SectorHamiltonian",
-    "build_sector_hamiltonian",
     "FockEvolver",
     "mirror_state",
 ]
@@ -67,35 +65,17 @@ class WorkCapError(ValueError):
     anything is allocated."""
 
 
-@dataclass(frozen=True, eq=False)
-class SectorHamiltonian:
-    """Hop arrays of the fixed-total-photon sectors ``low`` .. ``top``.
+def _slots(spec: LatticeSpec, basis: FockBasis, low: int, top: int):
+    """Hamiltonian of the sectors of ``low`` to ``top`` photons, which it
+    leaves closed, as (columns, weights) of shape (_width(N, top), dim):
+    row i (basis state start + i) holds H[i, columns[s, i]] = weights[s, i].
 
-    The sectors fill the basis indices [start, stop), and arrays index from
-    ``start``: ``diagonal[i]`` is sum_j omega_j n_j of basis state
-    ``start + i``, and every (rows, columns, weights) triple in ``hops`` is
-    one hop direction, that is H[rows, columns] = weights.
-    """
-
-    low: int
-    top: int
-    diagonal: np.ndarray
-    hops: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-    basis: FockBasis
-    start: int
-    stop: int
-
-
-def build_sector_hamiltonian(
-    spec: LatticeSpec, basis: FockBasis, low: int, top: int
-) -> SectorHamiltonian:
-    """Second-quantized Hamiltonian restricted to the sectors of ``low`` to
-    ``top`` photons, which it leaves closed.
-
-    Diagonal entries are sum_j omega_j n_j.  A hop a_dst^dag a_src between
-    modes j and j + 1 links ``raising[src, y]`` to ``raising[dst, y]`` for
-    each state y of ``low`` - 1 to ``top`` - 1 photons, with the weight
-    g_j sqrt((y_j + 1) (y_(j+1) + 1)) that both directions share.
+    Slot 0 holds the diagonal sum_j omega_j n_j.  A hop a_dst^dag a_src
+    between modes j and j + 1 links ``raising[dst, y]`` to ``raising[src, y]``
+    for each state y of ``low`` - 1 to ``top`` - 1 photons, with the weight
+    g_j sqrt((y_j + 1) (y_(j+1) + 1)) that both directions share; a row's
+    hops take its next slots in direction order, and the slots left over
+    read the row itself with weight zero.
     """
     if spec.size != basis.num_modes:
         raise ValueError("lattice and basis have different mode counts")
@@ -105,14 +85,26 @@ def build_sector_hamiltonian(
     below = slice(basis.sector(max(low - 1, 0))[0], basis.sector(top)[0])
     lowered = basis.occupations[below]
     raising = basis.raising[:, below] - start
-    hops = []
+    columns = np.tile(np.arange(stop - start), (_width(basis.num_modes, top), 1))
+    weights = np.zeros(columns.shape)
+    weights[0] = basis.occupations[start:stop] @ spec.omegas
+    # each direction holds a row once, so its hop takes the row's next slot
+    slot = np.ones(stop - start, dtype=np.int64)
     for j, coupling in enumerate(spec.couplings):
-        weights = coupling * np.sqrt(((lowered[:, j] + 1) * (lowered[:, j + 1] + 1)).astype(float))
+        values = coupling * np.sqrt(((lowered[:, j] + 1) * (lowered[:, j + 1] + 1)).astype(float))
         # one photon hops from mode src to mode dst
         for src, dst in ((j + 1, j), (j, j + 1)):
-            hops.append((raising[dst], raising[src], weights))
-    return SectorHamiltonian(low, top, basis.occupations[start:stop] @ spec.omegas,
-                             tuple(hops), basis, start, stop)
+            rows = raising[dst]
+            columns[slot[rows], rows] = raising[src]
+            weights[slot[rows], rows] = values
+            slot[rows] += 1
+    return columns, weights
+
+
+def _width(num_modes: int, top: int) -> int:
+    """Slots of a row up to sector ``top``: the diagonal and at most
+    min(2 (N - 1), 2 n) hops, as each occupied mode sends a photon left or right."""
+    return 1 + min(2 * (num_modes - 1), 2 * top)
 
 
 def sturm_brackets(spec: LatticeSpec, ranks, halvings: int) -> np.ndarray:
@@ -182,9 +174,7 @@ class FockEvolver:
         start, stop = basis.sector(low)[0], basis.sector(top)[1]
         dim = stop - start
         radius = top * self._half_width
-        # a row of sector n has at most min(2 (N - 1), 2 n) hops: each
-        # occupied mode sends a photon left or right
-        slots = 1 + min(2 * (basis.num_modes - 1), 2 * top)
+        slots = _width(basis.num_modes, top)
         blocks, products = _plan(z_values, radius, dim, slots)
         if not products * dim * slots <= _WORK_CAP:
             raise WorkCapError(
@@ -192,8 +182,7 @@ class FockEvolver:
                 f"z = {z_values[-1]:g}; with {dim * slots} nonzeros that exceeds the "
                 f"work cap {_WORK_CAP:.0e}"
             )
-        step = _ChebyshevStep(build_sector_hamiltonian(self.spec, basis, low, top),
-                              self._center, radius)
+        step = _ChebyshevStep(self.spec, basis, low, top, self._center, radius)
         vector = state.amplitudes[start:stop]
         norm = np.linalg.norm(vector)
         bridge = np.array([_MAX_SPAN / radius]) if radius > 0 else None
@@ -258,39 +247,26 @@ class FockEvolver:
 
 
 class _ChebyshevStep:
-    """exp(-i H tau) on the sectors of one SectorHamiltonian, for a few tau.
+    """exp(-i H tau) on the sectors of ``low`` to ``top`` photons, for a few tau.
 
     The shifted, scaled Hamiltonian Hs = (H - n c) / R has its spectrum in
     [-1, 1], and exp(-i H tau) = exp(-i n c tau) sum_k (-i)^k b_k(R tau) phi_k
     with b_k(x) = (2 - delta_k0) J_k(x) and phi_k = T_k(Hs) phi_0, which obey
-    the real recurrence phi_{k+1} = 2 Hs phi_k - phi_{k-1}.  2 Hs is kept as
-    one column and one weight per row and slot: the diagonal, then the row's
-    hops in direction order, the s-th in slot 1 + s.  There are 1 + the most
-    hops any row has slots, and a row with fewer reads itself with weight
-    zero in the rest.  The phi_k are summed into the amplitudes a stack of
-    them at a time; each tau stops at the degree its own R tau needs, and
-    since the taus ascend, the rows already done are a prefix.
+    the real recurrence phi_{k+1} = 2 Hs phi_k - phi_{k-1}.  2 Hs is kept in
+    the slots of ``_slots``, shifted and scaled in place.  The phi_k are
+    summed into the amplitudes a stack of them at a time; each tau stops at
+    the degree its own R tau needs, and since the taus ascend, the rows
+    already done are a prefix.
     """
 
-    def __init__(self, hamiltonian: SectorHamiltonian, center: float, radius: float):
-        basis, start = hamiltonian.basis, hamiltonian.start
-        dim = hamiltonian.stop - start
-        self._photons = np.arange(hamiltonian.low, hamiltonian.top + 1)
+    def __init__(self, spec: LatticeSpec, basis: FockBasis, low: int, top: int,
+                 center: float, radius: float):
+        self._columns, weights = _slots(spec, basis, low, top)
+        start = basis.sector(low)[0]
+        self._photons = np.arange(low, top + 1)
         self._sectors = [slice(*(np.array(basis.sector(n)) - start)) for n in self._photons]
-        hops = np.zeros(dim, dtype=np.int64)
-        for rows, _, _ in hamiltonian.hops:
-            hops[rows] += 1
-        self._columns = np.tile(np.arange(dim), (1 + hops.max(initial=0), 1))
-        weights = np.zeros(self._columns.shape)
-        weights[0] = hamiltonian.diagonal
         for n, sector in zip(self._photons, self._sectors):
             weights[0, sector] -= center * n
-        # each direction holds a row once, so its hop takes the row's next slot
-        slot = np.ones(dim, dtype=np.int64)
-        for rows, columns, values in hamiltonian.hops:
-            self._columns[slot[rows], rows] = columns
-            weights[slot[rows], rows] = values
-            slot[rows] += 1
         weights *= 2.0 / radius if radius > 0 else 0.0
         self._weights = np.stack((weights, weights), axis=-1)
         self._center = center

@@ -77,7 +77,7 @@ def load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config file {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError(

@@ -311,8 +311,9 @@ def build_tmsv(
 ) -> FockState:
     """Two-mode squeezed vacuum with finite squeezing parameter r >= 0.
 
-    Amplitudes tanh(r)**j / cosh(r) on the pair occupations |j, j>, kept for
-    2 j <= max_total, then renormalized; the discarded geometric tail is
+    Amplitudes tanh(r)**j on the pair occupations |j, j>, kept for
+    2 j <= max_total, then normalized (the untruncated factor 1 / cosh(r)
+    cancels, and would overflow for large r); the discarded geometric tail is
     recorded as ``tail_mass``, with a TruncationWarning above ``tail_bound``.
     """
     _check_mode_pair(basis, mode_a, mode_b)
@@ -323,7 +324,7 @@ def build_tmsv(
     pairs = np.arange(basis.max_total // 2 + 1)
     occupations = np.zeros((pairs.size, basis.num_modes), dtype=np.int64)
     occupations[:, [mode_a, mode_b]] = pairs[:, None]
-    amps[basis.rank(occupations)] = [tanh_r**j / math.cosh(r) for j in range(pairs.size)]
+    amps[basis.rank(occupations)] = [tanh_r**j for j in range(pairs.size)]
     # the pair count is geometric, P(j) = (1 - t) t^j with t = tanh(r)^2
     tail = tanh_r ** (2 * (basis.max_total // 2 + 1))
     _warn_truncation(tail, tail_bound)

@@ -22,13 +22,14 @@ def basis4() -> FockBasis:
 
 @pytest.fixture(scope="session")
 def dense():
-    """Dense matrix of a SectorHamiltonian, scattered from its hop arrays;
-    the engine itself never forms one."""
+    """Dense matrix of the (columns, weights) slots ``fockspace._slots``
+    returns, scattered with ``np.add.at``; the engine itself never forms one."""
 
-    def assemble(block):
-        matrix = np.diag(block.diagonal)
-        for rows, columns, weights in block.hops:
-            matrix[rows, columns] = weights
+    def assemble(slots):
+        columns, weights = slots
+        rows = np.broadcast_to(np.arange(columns.shape[1]), columns.shape)
+        matrix = np.zeros((columns.shape[1],) * 2)
+        np.add.at(matrix, (rows, columns), weights)
         return matrix
 
     return assemble

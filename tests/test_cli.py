@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import latticelight
-from latticelight import runner, spectral
+from latticelight import TruncationWarning, runner, spectral
 from latticelight.cli import main
 from latticelight.runner import (
     ConfigError,
@@ -178,6 +178,12 @@ class TestSpectrumCommand:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_config_that_is_not_utf8_exit_code(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"lattice": "\xff"}')
+        assert main(["spectrum", "--config", str(path)]) == 2
+        assert "config error: cannot read config file" in capsys.readouterr().err
+
     @pytest.mark.parametrize("family", [["uniform"], {"a": 1}])
     def test_non_string_family_exit_code(self, capsys, tmp_path, family):
         cfg = {"lattice": {"family": family, "N": 3, "omega": 0.0, "g": 1.0}}
@@ -315,6 +321,19 @@ class TestPropagateCommand:
         assert main(argv) == 2
         assert f"{field}: must be a list" in capsys.readouterr().err
         assert not out_path.exists()
+
+    def test_large_squeezing_runs(self, tmp_path):
+        # tanh(800) rounds to 1: the kept pairs |j, j>, j = 0 .. 2, share
+        # the state equally, and cosh(800) would overflow a float
+        cfg = small_coupler_config()
+        cfg["state"] = {"kind": "tmsv", "mode_a": 0, "mode_b": 1, "r": 800}
+        out_path = tmp_path / "trace.csv"
+        argv = ["propagate", "--config", write_config(tmp_path, cfg), "--out", str(out_path)]
+        with pytest.warns(TruncationWarning, match=r"discarded probability 1\.000e\+00"):
+            assert main(argv) == 0
+        lines = out_path.read_text(encoding="utf-8").strip().splitlines()
+        first = dict(zip(lines[1].split(","), lines[2].split(",")))
+        assert float(first["n_0"]) == float(first["n_1"]) == pytest.approx(1.0, abs=1e-12)
 
     def test_header_and_initial_row(self, tmp_path):
         out_path = tmp_path / "trace.csv"

@@ -20,7 +20,7 @@ from latticelight import (
     propagate,
 )
 from latticelight import fockspace
-from latticelight.fockspace import FockEvolver, build_sector_hamiltonian, mirror_state
+from latticelight.fockspace import FockEvolver, mirror_state
 from latticelight.runner import engine_gate
 from latticelight.spectral import jacobi_matrix
 
@@ -73,13 +73,13 @@ class TestSpectralBracket:
 
 class TestSectorHamiltonian:
     def test_vacuum_sector_is_zero(self, coupler, basis2, dense):
-        block = build_sector_hamiltonian(coupler, basis2, 0, 0)
-        assert dense(block).shape == (1, 1)
-        assert dense(block)[0, 0] == 0.0
+        slots = fockspace._slots(coupler, basis2, 0, 0)
+        assert dense(slots).shape == (1, 1)
+        assert dense(slots)[0, 0] == 0.0
 
     def test_one_photon_sector_equals_coupling_matrix(self, coupler, basis2, dense):
-        block = build_sector_hamiltonian(coupler, basis2, 1, 1)
-        assert np.array_equal(dense(block), jacobi_matrix(coupler))
+        slots = fockspace._slots(coupler, basis2, 1, 1)
+        assert np.array_equal(dense(slots), jacobi_matrix(coupler))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_one_photon_sector_equals_coupling_matrix_random(self, seed, dense):
@@ -87,39 +87,41 @@ class TestSectorHamiltonian:
         N = int(rng.integers(2, 7))
         spec = LatticeSpec(rng.uniform(-2, 2, N), rng.uniform(0.1, 2, N - 1))
         basis = FockBasis(N, 3)
-        block = build_sector_hamiltonian(spec, basis, 1, 1)
-        assert np.array_equal(dense(block), jacobi_matrix(spec))
+        slots = fockspace._slots(spec, basis, 1, 1)
+        assert np.array_equal(dense(slots), jacobi_matrix(spec))
 
     def test_two_photon_sector_by_hand(self, coupler, basis2, dense):
         # basis order (2,0), (1,1), (0,2); ladder algebra gives sqrt(2) hops
-        block = build_sector_hamiltonian(coupler, basis2, 2, 2)
+        slots = fockspace._slots(coupler, basis2, 2, 2)
         root2 = math.sqrt(2.0)
         expected = [[0.0, root2, 0.0], [root2, 0.0, root2], [0.0, root2, 0.0]]
-        assert np.allclose(dense(block), expected, atol=1e-15)
+        assert np.allclose(dense(slots), expected, atol=1e-15)
 
     def test_detunings_enter_diagonal(self, basis2, dense):
         spec = LatticeSpec(np.array([0.7, -0.2]), np.array([1.0]))
-        block = build_sector_hamiltonian(spec, basis2, 2, 2)
-        assert dense(block)[0, 0] == pytest.approx(1.4)   # (2, 0)
-        assert dense(block)[1, 1] == pytest.approx(0.5)   # (1, 1)
-        assert dense(block)[2, 2] == pytest.approx(-0.4)  # (0, 2)
+        slots = fockspace._slots(spec, basis2, 2, 2)
+        assert dense(slots)[0, 0] == pytest.approx(1.4)   # (2, 0)
+        assert dense(slots)[1, 1] == pytest.approx(0.5)   # (1, 1)
+        assert dense(slots)[2, 2] == pytest.approx(-0.4)  # (0, 2)
 
     def test_exactly_symmetric(self, basis4, dense):
         spec = make_perfect_transfer(4, 1.0)
-        block = build_sector_hamiltonian(spec, basis4, 3, 3)
-        assert np.array_equal(dense(block), dense(block).T)
+        slots = fockspace._slots(spec, basis4, 3, 3)
+        assert np.array_equal(dense(slots), dense(slots).T)
 
     def test_hops_stay_in_their_sector_once_per_direction(self, basis4):
-        # at most 2 (N - 1) off-diagonal nonzeros per row, none repeated
-        block = build_sector_hamiltonian(make_uniform(4, 0.3, 1.0), basis4, 2, 5)
-        assert (block.start, block.stop) == (basis4.sector(2)[0], basis4.sector(5)[1])
-        totals = basis4.occupations[block.start:block.stop].sum(axis=1)
-        assert len(block.hops) == 2 * (4 - 1)
-        for rows, columns, weights in block.hops:
-            assert np.unique(rows).size == rows.size == columns.size == weights.size
-            assert np.array_equal(totals[rows], totals[columns])
-        pairs = np.concatenate([rows * block.diagonal.size + columns
-                                for rows, columns, _ in block.hops])
+        # slot 0 is the diagonal; at most 2 (N - 1) off-diagonal slots per
+        # row, none repeated, and padding reads the row itself with weight 0
+        columns, weights = fockspace._slots(make_uniform(4, 0.3, 1.0), basis4, 2, 5)
+        start, stop = basis4.sector(2)[0], basis4.sector(5)[1]
+        assert columns.shape == weights.shape == (1 + 2 * (4 - 1), stop - start)
+        rows = np.broadcast_to(np.arange(stop - start), columns.shape)
+        assert np.array_equal(columns[0], rows[0])
+        totals = basis4.occupations[start:stop].sum(axis=1)
+        assert np.array_equal(totals[columns], totals[rows])
+        hops = columns[1:] != rows[1:]
+        assert np.all(weights[1:][~hops] == 0.0)
+        pairs = rows[1:][hops] * (stop - start) + columns[1:][hops]
         assert np.unique(pairs).size == pairs.size
 
     @pytest.mark.parametrize("N,n_max", [(N, n) for N in range(2, 6) for n in range(5)])
@@ -151,8 +153,8 @@ class TestSectorHamiltonian:
                         source = occupations[columns]
                         expected[rows, columns] = coupling * np.sqrt(
                             ((source[:, dst] + 1) * source[:, src]).astype(float))
-                block = build_sector_hamiltonian(spec, basis, low, top)
-                assert np.array_equal(dense(block), expected)
+                slots = fockspace._slots(spec, basis, low, top)
+                assert np.array_equal(dense(slots), expected)
 
     def test_work_guard_refuses_before_allocating(self):
         # couplings of 1e200 would need a Chebyshev degree near 1e201
@@ -174,9 +176,39 @@ class TestSectorHamiltonian:
         for N, n_max, low, width in ((200, 2, 2, 5), (6, 9, 0, 11)):
             spec = make_uniform(N, 0.1, 1.0)
             basis = FockBasis(N, n_max)
-            block = build_sector_hamiltonian(spec, basis, low, n_max)
-            step = fockspace._ChebyshevStep(block, 0.0, 1.0)
-            assert step._columns.shape == (width, block.stop - block.start)
+            step = fockspace._ChebyshevStep(spec, basis, low, n_max, 0.0, 1.0)
+            assert step._columns.shape == (width, basis.size - basis.sector(low)[0])
+
+    @pytest.mark.parametrize("N", range(2, 7))
+    def test_layout_width_is_the_planned_width(self, N, monkeypatch):
+        # the plan and the work cap price the slots the step lays out: at
+        # (N, top) = (3, 2) the busiest row has 3 hops, the bound 4
+        plan, init = fockspace._plan, fockspace._ChebyshevStep.__init__
+        planned, laid = [], []
+
+        def record_plan(z_values, radius, dim, slots):
+            planned.append(slots)
+            return plan(z_values, radius, dim, slots)
+
+        def record_layout(step, *args):
+            init(step, *args)
+            laid.append(step._columns.shape[0])
+
+        monkeypatch.setattr(fockspace, "_plan", record_plan)
+        monkeypatch.setattr(fockspace._ChebyshevStep, "__init__", record_layout)
+        for top in range(6):
+            basis = FockBasis(N, top)
+            state = build_fock(basis, [top] + [0] * (N - 1))
+            FockEvolver(make_uniform(N, 0.3, 1.0)).sweep(state, [0.0, 1.0])
+            assert planned == laid == [1 + min(2 * (N - 1), 2 * top)]
+            if top:
+                dim = basis.size - basis.sector(top)[0]
+                with pytest.raises(fockspace.WorkCapError,
+                                   match=rf"with {dim * laid[0]} nonzeros"):
+                    FockEvolver(LatticeSpec(np.zeros(N), np.full(N - 1, 1e200))).sweep(
+                        state, [0.0, 1.0])
+            planned.clear()
+            laid.clear()
 
     def test_work_cap_counts_the_hops_a_row_can_have(self):
         # sector 2 of 200 guides: 20 100 rows of at most 1 + 4 entries
@@ -249,10 +281,12 @@ class TestSectorHamiltonian:
         assert gap <= tolerance
         assert np.allclose(traces[1].means.sum(axis=1), 12.0, atol=1e-10, rtol=0)
 
-    def test_sector_out_of_basis(self, coupler, basis2):
+    def test_sector_out_of_basis(self, coupler, basis2, basis4):
         for low, top in ((13, 13), (0, 13), (3, 2), (-1, 0)):
             with pytest.raises(ValueError):
-                build_sector_hamiltonian(coupler, basis2, low, top)
+                fockspace._slots(coupler, basis2, low, top)
+        with pytest.raises(ValueError, match="different mode counts"):
+            fockspace._slots(coupler, basis4, 0, 1)
 
 
 class TestEvolve:

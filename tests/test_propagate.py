@@ -18,7 +18,8 @@ from latticelight import (
     make_uniform,
     propagate,
 )
-from latticelight.fockspace import FockEvolver, build_sector_hamiltonian, mirror_state
+from latticelight import fockspace
+from latticelight.fockspace import FockEvolver, mirror_state
 from latticelight.moments import trace_observables
 from latticelight.runner import engine_gate
 from latticelight.spectral import eigendecompose, jacobi_matrix
@@ -31,7 +32,7 @@ def reference_observables(spec, state, z_values, pairs, dense):
     plain numpy: probabilities times occupations, times products of two
     occupation columns, and amplitude overlaps."""
     basis = state.basis
-    vals, vecs = np.linalg.eigh(dense(build_sector_hamiltonian(spec, basis, 0, basis.max_total)))
+    vals, vecs = np.linalg.eigh(dense(fockspace._slots(spec, basis, 0, basis.max_total)))
     coefficients = vecs.T @ state.amplitudes
     evolved = (np.exp(-1j * np.multiply.outer(z_values, vals)) * coefficients) @ vecs.T
     probabilities = np.abs(evolved) ** 2

@@ -272,7 +272,7 @@ class TestBuildTmsv:
         amplitudes = np.zeros(basis.size, dtype=complex)
         for j in range(5):
             occupation = [0, j, 0, j]
-            amplitudes[basis.rank(occupation)] = math.tanh(0.7) ** j / math.cosh(0.7)
+            amplitudes[basis.rank(occupation)] = math.tanh(0.7) ** j
         kept = float(np.sum(np.abs(amplitudes) ** 2))
         assert np.array_equal(state.amplitudes, amplitudes / math.sqrt(kept))
 
