@@ -264,12 +264,11 @@ def build_coherent(basis: FockBasis, alphas) -> FockState:
     1e-8.
     """
     alphas, _, tail, log_fact = _coherent_law(alphas, basis.num_modes, basis.max_total)
-    # coef[j, n] = exp(-|alpha_j|^2 / 2) alpha_j^n / sqrt(n!)
+    # coef[j, n] = alpha_j^n / sqrt(n!); exp(-|alpha_j|^2 / 2) cancels, and would underflow
     n_values = np.arange(basis.max_total + 1)
     coef = np.empty((basis.num_modes, basis.max_total + 1), dtype=complex)
     for j, alpha in enumerate(alphas):
-        prefactor = math.exp(-0.5 * abs(alpha) ** 2)
-        coef[j] = prefactor * alpha**n_values / np.exp(0.5 * log_fact)
+        coef[j] = alpha**n_values / np.exp(0.5 * log_fact)
     amps = np.prod(coef[np.arange(basis.num_modes), basis.occupations], axis=1)
     return _normalized(basis, amps, tail)
 
@@ -306,15 +305,13 @@ def build_path_entangled(basis: FockBasis, mode_a: int, mode_b: int) -> FockStat
     return FockState(basis, amps, tail_mass=0.0)
 
 
-def build_tmsv(
-    basis: FockBasis, mode_a: int, mode_b: int, r: float, tail_bound: float = _TAIL_BOUND
-) -> FockState:
+def build_tmsv(basis: FockBasis, mode_a: int, mode_b: int, r: float) -> FockState:
     """Two-mode squeezed vacuum with finite squeezing parameter r >= 0.
 
     Amplitudes tanh(r)**j on the pair occupations |j, j>, kept for
     2 j <= max_total, then normalized (the untruncated factor 1 / cosh(r)
     cancels, and would overflow for large r); the discarded geometric tail is
-    recorded as ``tail_mass``, with a TruncationWarning above ``tail_bound``.
+    recorded as ``tail_mass``, with a TruncationWarning above 1e-8.
     """
     _check_mode_pair(basis, mode_a, mode_b)
     if not (math.isfinite(r) and r >= 0):
@@ -327,7 +324,7 @@ def build_tmsv(
     amps[basis.rank(occupations)] = [tanh_r**j for j in range(pairs.size)]
     # the pair count is geometric, P(j) = (1 - t) t^j with t = tanh(r)^2
     tail = tanh_r ** (2 * (basis.max_total // 2 + 1))
-    _warn_truncation(tail, tail_bound)
+    _warn_truncation(tail)
     return _normalized(basis, amps, tail)
 
 
@@ -397,8 +394,10 @@ def analytic_moments_tmsv(r: float, mode_a: int, mode_b: int, N: int) -> MomentS
     never touches a truncated basis, which makes it an independent
     reference for ``moments_of``.
     """
-    if r < 0:
-        raise ValueError("squeezing parameter r must be non-negative")
+    # the largest moment, 2 hypot(nbar, sinh r cosh r) ~ exp(2 r) / sqrt(2),
+    # overflows a float from r = 355.06
+    if not (math.isfinite(r) and 0 <= r <= 355):
+        raise ValueError(f"squeezing parameter r must lie in [0, 355], got {r}")
     if N < 2:
         raise ValueError("need at least two modes")
     if not (0 <= mode_a < N and 0 <= mode_b < N) or mode_a == mode_b:
@@ -418,9 +417,11 @@ def _coherent_law(alphas, num_modes: int, max_total: int):
     The untruncated total is Poisson with mean mu = sum |alpha_j|^2, with
     terms p_n = exp(-mu) mu^n / n!.  Returns (alphas, law, tail, log_fact):
     law[n] = p_n / P(max_total) for n up to max_total, with P the Poisson
-    CDF; tail = sum_{n > max_total} p_n, summed term by term rather than
-    taken as 1 - P(max_total), which cancels; log_fact[n] = log n! for n up
-    to max_total.  Emits a TruncationWarning when the tail exceeds 1e-8.
+    CDF; tail = sum_{n > max_total} p_n, summed term by term while P(max_total)
+    >= 1/2, where 1 - P(max_total) would cancel, and taken as 1 - P(max_total)
+    below that, where the terms to sum would grow with mu; log_fact[n] = log
+    n! for n up to max_total.  Emits a TruncationWarning when the tail
+    exceeds 1e-8, and refuses light whose unnormalized amplitudes overflow.
     """
     if num_modes < 1:
         raise ValueError("need at least one mode")
@@ -434,33 +435,41 @@ def _coherent_law(alphas, num_modes: int, max_total: int):
     mu = float(np.vdot(alphas, alphas).real)
     if not math.isfinite(mu):
         raise ValueError("state has no support inside the truncated basis")
+    # sum_n mu^n / n! <= (max_total + 1) max(1, mu)^max_total
+    if not max_total * math.log(max(1.0, mu)) + math.log(max_total + 1) <= 700.0:
+        raise ValueError(f"mean photon number {mu:.3g} overflows the amplitudes "
+                         f"of a basis with up to {max_total} photons")
 
     def log_terms(n: np.ndarray, log_fact: np.ndarray) -> np.ndarray:
+        # log(mu^n / n!), without the common -mu that would round it away
         if mu == 0:
             return np.where(n == 0, 0.0, -np.inf)
-        return n * math.log(mu) - mu - log_fact
+        return n * math.log(mu) - log_fact
 
     n = np.arange(max_total + 1)
     log_fact = np.cumsum(np.log(np.maximum(n, 1)))
     head = log_terms(n, log_fact)
-    if not np.sum(np.exp(head)) > 0:
-        raise ValueError("state has no support inside the truncated basis")
-    # log n! runs on past max_total; past n = 2 mu each term is below half
-    # the one before, so the terms more than 64 further on are dropped
-    far = np.arange(max_total + 1, int(max(max_total, 2.0 * mu + 1.0)) + 65)
-    tail = math.fsum(np.exp(log_terms(far, log_fact[-1] + np.cumsum(np.log(far)))))
-    _warn_truncation(tail, _TAIL_BOUND, stacklevel=4)
+    kept = math.fsum(np.exp(head - mu))
+    if kept < 0.5:
+        tail = 1.0 - kept
+    else:
+        # the median lies within max_total, so mu <= max_total + 1; log n!
+        # runs on past max_total, and past n = 2 mu each term is below half
+        # the one before, so the terms more than 64 further on are dropped
+        far = np.arange(max_total + 1, int(max(max_total, 2.0 * mu + 1.0)) + 65)
+        tail = math.fsum(np.exp(log_terms(far, log_fact[-1] + np.cumsum(np.log(far))) - mu))
+    _warn_truncation(tail, stacklevel=4)
     # scaled by the largest term, so the law survives an underflowing P
     law = np.exp(head - np.max(head))
     return alphas, law / np.sum(law), tail, log_fact
 
 
-def _warn_truncation(tail: float, tail_bound: float, stacklevel: int = 3) -> None:
+def _warn_truncation(tail: float, stacklevel: int = 3) -> None:
     """Warn, at the caller of the state builder, of a tail above its bound."""
-    if tail > tail_bound:
+    if tail > _TAIL_BOUND:
         warnings.warn(
             f"truncation discarded probability {tail:.3e} "
-            f"(bound {tail_bound:.1e}); consider a larger max_total",
+            f"(bound {_TAIL_BOUND:.1e}); consider a larger max_total",
             TruncationWarning,
             stacklevel=stacklevel,
         )

@@ -5,6 +5,9 @@ spectra, mirror transfer, engine cross-agreement, conservation laws,
 deterministic output) to an explicit tolerance.  ``run_acceptance`` executes
 all of them and is what the ``verify`` CLI command reports.
 
+The figure-level checks read the eight shipped ``configs/fig*.json`` runs,
+parsed as ``propagate`` parses them and propagated once per engine.
+
 The oracles here need no eigensolver, so they check the one the moments
 engine uses (LAPACK ``eigh``) independently: the square-root-graded chain is
 checked against Hermite zeros found by Sturm-count bisection of the Hermite
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from importlib import resources
 
@@ -31,15 +35,16 @@ from .lattice import (
     make_perfect_transfer,
     make_uniform,
 )
-from .moments import NumericalInconsistencyError, trace_observables
-from .runner import engine_gate, propagate, run_propagate
+from .moments import NumericalInconsistencyError, Trace, trace_observables
+from .runner import engine_gate, parse_config, propagate, run_propagate
 from .spectral import eigendecompose, jacobi_matrix, transfer_matrix
 from .states import (
     FockBasis,
+    FockState,
     MomentSet,
+    TruncationWarning,
     build_coherent,
     build_fock,
-    build_path_entangled,
     build_tmsv,
     coherent_moments,
     moments_of,
@@ -49,12 +54,13 @@ __all__ = ["CheckResult", "hermite_zeros", "run_acceptance", "format_report", "R
 
 # squeezing that puts half a photon in each squeezed mode: arcsinh(2**-0.5)
 R_HALF_PHOTON = float(np.arcsinh(2**-0.5))
-# truncation bound of the n_max = 12 squeezed states, whose tail of 4.57e-4
-# only the tmsv-vs-path-entangled-means check folds into its tolerance, as
-# 10 * tail_mass; the engine checks compare the same truncated state
-_TMSV_TAIL_BOUND = 1e-3
 
 _COUPLER = LatticeSpec(np.zeros(2), np.ones(1))
+
+# the shipped figure configs: figN_row1..4 send these four inputs through
+# one lattice each
+_LATTICES = (("fig1", "coupler"), ("fig2", "transfer"))
+_INPUTS = ("fock", "coherent", "path", "tmsv")
 
 
 @dataclass(frozen=True)
@@ -90,17 +96,18 @@ def run_acceptance(fault: str | None = None) -> list[CheckResult]:
     one lattice to prove the suite can fail (see ``--inject-fault``)."""
     if fault not in (None, "coupling_sign"):
         raise ValueError(f"unknown fault {fault!r}")
+    figures = _figure_traces(fault)
     results: list[CheckResult] = []
-    results.extend(check_coupler_single_photon())
+    results.extend(check_coupler_single_photon(figures))
     results.append(check_chebyshev_spectrum())
     results.append(check_hermite_spectrum())
-    results.extend(check_perfect_transfer(fault))
-    results.extend(check_vacuum_obstruction())
-    results.extend(check_engine_equivalence())
+    results.extend(check_perfect_transfer(figures))
+    results.extend(check_vacuum_obstruction(figures))
+    results.extend(check_engine_equivalence(figures))
     results.extend(check_conservation_unitarity())
     results.append(check_tmsv_zero_distance())
     results.append(check_coherent_moments())
-    results.extend(check_stationary_states())
+    results.extend(check_stationary_states(figures))
     results.append(check_determinism())
     return results
 
@@ -123,21 +130,58 @@ def format_report(results: list[CheckResult]) -> str:
     return "\n".join(lines)
 
 
-def check_coupler_single_photon() -> list[CheckResult]:
-    """Balanced coupler, one photon: cos^2/sin^2 means, |cos z| return fidelity."""
-    z_values = np.linspace(0.0, 2.0 * math.pi, 201)
-    expected_means = np.column_stack((np.cos(z_values) ** 2, np.sin(z_values) ** 2))
+def _shipped(name: str) -> dict:
+    """The raw shipped config ``configs/<name>.json``."""
+    path = resources.files("latticelight.configs").joinpath(f"{name}.json")
+    return json.loads(path.read_text(encoding="utf-8"))
 
-    state = build_fock(FockBasis(2, 12), (1, 0))
-    moments = propagate(_COUPLER, state, z_values, engine="moments")
-    fock = propagate(_COUPLER, state, z_values, targets=["initial"], engine="fock")
+
+def _figure_traces(fault: str | None) -> dict[str, tuple[FockState, Trace, Trace]]:
+    """Every shipped figure config's state with its moments and Fock traces, keyed
+    '<lattice>-<input>'.  The fault 'coupling_sign' flips the first coupling
+    of the transfer lattice.  The squeezed configs' tail of 4.57e-4 is folded
+    into the one tolerance that reads it, so their TruncationWarning is muted.
+    """
+    figures = {}
+    for prefix, lattice in _LATTICES:
+        for row, kind in enumerate(_INPUTS, 1):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", TruncationWarning)
+                cfg = parse_config(_shipped(f"{prefix}_row{row}"))
+            spec = cfg.spec
+            if fault == "coupling_sign" and lattice == "transfer":
+                couplings = np.array(spec.couplings)
+                couplings[0] = -couplings[0]
+                spec = LatticeSpec(spec.omegas, couplings)
+            moments = propagate(spec, cfg.state, cfg.z_values, cfg.pairs, engine="moments")
+            fock = propagate(spec, cfg.state, cfg.z_values, cfg.pairs, cfg.fidelity_targets,
+                             engine="fock")
+            figures[f"{lattice}-{kind}"] = (cfg.state, moments, fock)
+    return figures
+
+
+def _row(trace: Trace, z: float) -> int:
+    """The grid row at ``z``, to rounding (linspace may land an ulp off)."""
+    (row,) = np.flatnonzero(np.isclose(trace.z, z, rtol=1e-15, atol=0.0))
+    return int(row)
+
+
+def _fidelity(trace: Trace, target: str) -> np.ndarray:
+    return trace.fid[:, trace.targets.index(target)]
+
+
+def check_coupler_single_photon(figures) -> list[CheckResult]:
+    """Balanced coupler, one photon: cos^2/sin^2 means, |cos z| return fidelity."""
+    _, moments, fock = figures["coupler-fock"]
+    z_values = fock.z
+    expected_means = np.column_stack((np.cos(z_values) ** 2, np.sin(z_values) ** 2))
     return [
         _result("coupler-single-photon-means-moments",
                 np.max(np.abs(moments.means - expected_means)), 1e-10),
         _result("coupler-single-photon-means-fock",
                 np.max(np.abs(fock.means - expected_means)), 1e-10),
         _result("coupler-single-photon-fidelity",
-                np.max(np.abs(fock.fid[:, 0] - np.abs(np.cos(z_values)))), 1e-10),
+                np.max(np.abs(_fidelity(fock, "initial") - np.abs(np.cos(z_values)))), 1e-10),
     ]
 
 
@@ -161,27 +205,14 @@ def check_hermite_spectrum() -> CheckResult:
     return _result("hermite-spectrum", error, 1e-11)
 
 
-def _transfer_lattice(fault: str | None) -> LatticeSpec:
-    spec = make_perfect_transfer(4, 1.0)
-    if fault == "coupling_sign":
-        corrupted = np.array(spec.couplings)
-        corrupted[0] = -corrupted[0]
-        return LatticeSpec(np.array(spec.omegas), corrupted)
-    return spec
-
-
-def check_perfect_transfer(fault: str | None = None) -> list[CheckResult]:
-    """Mirror transfer at z_t for a single photon and a path-entangled pair."""
-    spec = _transfer_lattice(fault)
-    z_t = 1.0
-    basis = FockBasis(4, 12)
-    single = propagate(spec, build_fock(basis, (1, 0, 0, 0)), [z_t],
-                       targets=["mirror"], engine="fock")
-    entangled = propagate(spec, build_path_entangled(basis, 0, 1), [z_t],
-                          targets=["mirror"], engine="fock")
-    occupation_err = abs(single.means[0, 3] - 1.0)
-    single_fid_err = abs(single.fid[0, 0] - 1.0)
-    entangled_fid_err = abs(entangled.fid[0, 0] - 1.0)
+def check_perfect_transfer(figures) -> list[CheckResult]:
+    """Mirror transfer at z_t = 1 for a single photon and a path-entangled pair."""
+    _, _, single = figures["transfer-fock"]
+    _, _, entangled = figures["transfer-path"]
+    row = _row(single, 1.0)
+    occupation_err = abs(single.means[row, 3] - 1.0)
+    single_fid_err = abs(_fidelity(single, "mirror")[row] - 1.0)
+    entangled_fid_err = abs(_fidelity(entangled, "mirror")[row] - 1.0)
     return [
         _result("transfer-single-photon-occupation", occupation_err, 1e-12),
         _result("transfer-single-photon-fidelity", single_fid_err, 1e-12),
@@ -189,18 +220,14 @@ def check_perfect_transfer(fault: str | None = None) -> list[CheckResult]:
     ]
 
 
-def check_vacuum_obstruction() -> list[CheckResult]:
+def check_vacuum_obstruction(figures) -> list[CheckResult]:
     """States with a vacuum component never transfer faithfully."""
     results = []
 
     # balanced coupler, coherent amplitude 1: the return fidelity at z = pi
     # is exp(-2) and the transfer fidelity stays far from 1 at every z.
-    coherent = build_coherent(FockBasis(2, 12), [1.0, 0.0])
-    z_values = np.linspace(0.0, 2.0 * math.pi, 101)
-    transfer = propagate(_COUPLER, coherent, z_values, targets=["mirror"], engine="fock").fid
-    return_fid = propagate(
-        _COUPLER, coherent, [math.pi], targets=["initial"], engine="fock"
-    ).fid[0, 0]
+    coherent, _, trace = figures["coupler-coherent"]
+    return_fid = _fidelity(trace, "initial")[_row(trace, math.pi)]
     tol = max(1e-6, 10.0 * coherent.tail_mass)
     results.append(
         _result("coherent-return-fidelity", abs(return_fid - math.exp(-2.0)), tol)
@@ -208,7 +235,7 @@ def check_vacuum_obstruction() -> list[CheckResult]:
     results.append(
         _result(
             "coherent-transfer-ceiling",
-            np.max(transfer),
+            np.max(_fidelity(trace, "mirror")),
             1.0 - 1e-3,
             "largest transfer fidelity over the sweep; must stay below 1",
         )
@@ -216,59 +243,27 @@ def check_vacuum_obstruction() -> list[CheckResult]:
 
     # two-mode squeezed vacuum on the mirror-transfer chain: transfer stays
     # imperfect while the mean-photon trace matches the path-entangled one.
-    spec = make_perfect_transfer(4, 1.0)
-    basis4 = FockBasis(4, 12)
-    squeezed = build_tmsv(basis4, 0, 1, R_HALF_PHOTON, tail_bound=_TMSV_TAIL_BOUND)
-    entangled = build_path_entangled(basis4, 0, 1)
-    grid = np.linspace(0.0, 2.0, 101)  # grid[50] is z_t = 1
-    squeezed_trace = propagate(spec, squeezed, grid, targets=["mirror"], engine="fock")
+    squeezed, _, squeezed_trace = figures["transfer-tmsv"]
+    _, _, entangled_trace = figures["transfer-path"]
     results.append(
         _result(
             "tmsv-transfer-ceiling",
-            squeezed_trace.fid[50, 0],
+            _fidelity(squeezed_trace, "mirror")[_row(squeezed_trace, 1.0)],
             1.0 - 1e-3,
             "mirror fidelity at z_t; must stay below 1",
         )
     )
 
-    entangled_means = propagate(spec, entangled, grid, engine="fock").means
-    trace_gap = np.max(np.abs(squeezed_trace.means - entangled_means))
+    trace_gap = np.max(np.abs(squeezed_trace.means - entangled_trace.means))
     tol = max(1e-8, 10.0 * squeezed.tail_mass)
     results.append(_result("tmsv-vs-path-entangled-means", trace_gap, tol))
     return results
 
 
-def _figure_scenarios():
-    """The eight demonstration scenarios: four states on each lattice."""
-    scenarios = []
-    for label, spec, z_stop in (
-        ("coupler", _COUPLER, math.pi),
-        ("transfer", make_perfect_transfer(4, 1.0), 2.0),
-    ):
-        N = spec.size
-        basis = FockBasis(N, 12)
-        states = {
-            "fock": build_fock(basis, [1] + [0] * (N - 1)),
-            "coherent": build_coherent(basis, [1.0] + [0.0] * (N - 1)),
-            "path": build_path_entangled(basis, 0, 1),
-            "tmsv": build_tmsv(basis, 0, 1, R_HALF_PHOTON, tail_bound=_TMSV_TAIL_BOUND),
-        }
-        for kind, state in states.items():
-            scenarios.append((f"{label}-{kind}", spec, state, z_stop))
-    return scenarios
-
-
-def check_engine_equivalence() -> list[CheckResult]:
+def check_engine_equivalence(figures) -> list[CheckResult]:
     """Moments engine and Fock engine agree on every scenario observable."""
-    results = []
-    for name, spec, state, z_stop in _figure_scenarios():
-        N = spec.size
-        pairs = [(p, q) for p in range(N) for q in range(p, N)]
-        grid = np.linspace(0.0, z_stop, 101)
-        moments, fock = (propagate(spec, state, grid, pairs, engine=engine)
-                         for engine in ("moments", "fock"))
-        results.append(_result(f"engine-equivalence-{name}", *engine_gate(moments, fock)))
-    return results
+    return [_result(f"engine-equivalence-{name}", *engine_gate(moments, fock))
+            for name, (_, moments, fock) in figures.items()]
 
 
 def check_conservation_unitarity() -> list[CheckResult]:
@@ -354,7 +349,7 @@ def check_coherent_moments() -> CheckResult:
     return _result("coherent-moments-closed-form", error, 1e-13)
 
 
-def check_stationary_states() -> list[CheckResult]:
+def check_stationary_states(figures) -> list[CheckResult]:
     """Vacuum is invariant everywhere; the balanced-coupler path-entangled
     state only picks up a global phase."""
     lattices = [
@@ -373,12 +368,8 @@ def check_stationary_states() -> list[CheckResult]:
         ).fid
         vacuum_err = max(vacuum_err, np.max(np.abs(fids - 1.0)))
 
-    entangled = build_path_entangled(FockBasis(2, 12), 0, 1)
-    fids = propagate(
-        _COUPLER, entangled, np.linspace(0.0, 2.0 * math.pi, 101),
-        targets=["initial"], engine="fock",
-    ).fid
-    entangled_err = np.max(np.abs(fids - 1.0))
+    _, _, entangled = figures["coupler-path"]
+    entangled_err = np.max(np.abs(_fidelity(entangled, "initial") - 1.0))
     return [
         _result("vacuum-stationarity", vacuum_err, 1e-12),
         _result("path-entangled-stationarity", entangled_err, 1e-10),
@@ -387,10 +378,7 @@ def check_stationary_states() -> list[CheckResult]:
 
 def check_determinism() -> CheckResult:
     """Running the same propagation twice yields byte-identical CSV."""
-    with resources.files("latticelight.configs").joinpath("fig1_row2.json").open(
-        encoding="utf-8"
-    ) as handle:
-        raw = json.load(handle)
+    raw = _shipped("fig1_row2")
     first = run_propagate(raw)
     second = run_propagate(raw)
     identical = first == second

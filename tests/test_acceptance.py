@@ -2,12 +2,15 @@
 
 One test per acceptance criterion; each prints a pass/fail line with the
 measured error and its pinned tolerance (run with ``pytest -v -s`` to see
-them).  The same checks back the ``latticelight verify`` command.
+them).  The same checks back the ``latticelight verify`` command.  The
+figure-level checks share one set of traces of the shipped figure configs,
+built once for the module.
 """
 
 import pytest
 
 from latticelight.verify import (
+    _figure_traces,
     check_chebyshev_spectrum,
     check_coherent_moments,
     check_conservation_unitarity,
@@ -19,7 +22,48 @@ from latticelight.verify import (
     check_stationary_states,
     check_tmsv_zero_distance,
     check_vacuum_obstruction,
+    run_acceptance,
 )
+
+# every check of ``latticelight verify``, in its order, with its tolerance
+# (the engine and squeezed-means tolerances scale with the traces they read)
+CHECKS = [
+    ("coupler-single-photon-means-moments", 1e-10),
+    ("coupler-single-photon-means-fock", 1e-10),
+    ("coupler-single-photon-fidelity", 1e-10),
+    ("chebyshev-spectrum", 1e-12),
+    ("hermite-spectrum", 1e-11),
+    ("transfer-single-photon-occupation", 1e-12),
+    ("transfer-single-photon-fidelity", 1e-12),
+    ("transfer-path-entangled-fidelity", 1e-12),
+    ("coherent-return-fidelity", 1e-06),
+    ("coherent-transfer-ceiling", 0.999),
+    ("tmsv-transfer-ceiling", 0.999),
+    ("tmsv-vs-path-entangled-means", 0.004572),
+    ("engine-equivalence-coupler-fock", 1e-11),
+    ("engine-equivalence-coupler-coherent", 2e-11),
+    ("engine-equivalence-coupler-path", 1e-11),
+    ("engine-equivalence-coupler-tmsv", 1.71e-11),
+    ("engine-equivalence-transfer-fock", 1e-11),
+    ("engine-equivalence-transfer-coherent", 2e-11),
+    ("engine-equivalence-transfer-path", 1e-11),
+    ("engine-equivalence-transfer-tmsv", 1.48e-11),
+    ("eigenvector-orthogonality", 1e-12),
+    ("eigen-residual", 1e-12),
+    ("transfer-unitarity", 1e-12),
+    ("photon-conservation", 1e-10),
+    ("transfer-composition", 1e-10),
+    ("tmsv-zero-distance-correlation", 1e-08),
+    ("coherent-moments-closed-form", 1e-13),
+    ("vacuum-stationarity", 1e-12),
+    ("path-entangled-stationarity", 1e-10),
+    ("propagate-determinism", 0.0),
+]
+
+
+@pytest.fixture(scope="module")
+def figures():
+    return _figure_traces(None)
 
 
 def report(criterion: str, results) -> None:
@@ -35,10 +79,10 @@ def report(criterion: str, results) -> None:
     assert not failed, f"criterion {criterion} failed: {failed}"
 
 
-def test_criterion_1_coupler_single_photon():
+def test_criterion_1_coupler_single_photon(figures):
     # both engines reproduce cos^2 / sin^2 means on 201 points over
     # [0, 2 pi] and the return fidelity |cos z|, all within 1e-10
-    report("1", check_coupler_single_photon())
+    report("1", check_coupler_single_photon(figures))
 
 
 def test_criterion_2_uniform_chain_cosine_spectrum():
@@ -52,23 +96,23 @@ def test_criterion_3_square_root_chain_hermite_spectrum():
     report("3", check_hermite_spectrum())
 
 
-def test_criterion_4_perfect_transfer():
+def test_criterion_4_perfect_transfer(figures):
     # at z_t the photon sits in the last guide and both the single-photon
     # and path-entangled inputs reach their mirror states within 1e-12
-    report("4", check_perfect_transfer())
+    report("4", check_perfect_transfer(figures))
 
 
-def test_criterion_5_vacuum_component_obstruction():
+def test_criterion_5_vacuum_component_obstruction(figures):
     # coherent light returns with fidelity e^-2 at z = pi, neither coherent
     # nor squeezed input ever transfers faithfully, yet the squeezed mean
     # photon trace is indistinguishable from the path-entangled one
-    report("5", check_vacuum_obstruction())
+    report("5", check_vacuum_obstruction(figures))
 
 
-def test_criterion_6_engine_cross_equivalence():
+def test_criterion_6_engine_cross_equivalence(figures):
     # the moment-contraction and Fock engines agree on every mean photon
     # number and every pair correlation across all eight scenarios
-    report("6", check_engine_equivalence())
+    report("6", check_engine_equivalence(figures))
 
 
 def test_criterion_7_conservation_and_unitarity():
@@ -83,10 +127,10 @@ def test_criterion_8_tmsv_zero_distance_correlation():
     report("8", check_tmsv_zero_distance())
 
 
-def test_criterion_9_stationary_states():
+def test_criterion_9_stationary_states(figures):
     # vacuum is exactly stationary on every lattice family; the balanced
     # coupler path-entangled state keeps unit self-fidelity for all z
-    report("9", check_stationary_states())
+    report("9", check_stationary_states(figures))
 
 
 def test_criterion_10_deterministic_output():
@@ -98,3 +142,22 @@ def test_criterion_11_coherent_moments_closed_form():
     # closed-form truncated coherent moments match the ladder action on the
     # Fock amplitudes of the same state
     report("11", check_coherent_moments())
+
+
+def test_check_list_names_order_and_tolerances():
+    results = run_acceptance()
+    assert [res.name for res in results] == [name for name, _ in CHECKS]
+    assert [res.tolerance for res in results] == pytest.approx(
+        [tolerance for _, tolerance in CHECKS], rel=1e-3, abs=0.0)
+    assert all(res.passed for res in results)
+
+
+def test_injected_fault_reaches_the_transfer_lattice_only():
+    # flipping the first transfer coupling spoils the path-entangled mirror
+    # state and lets the squeezed pair reach its mirror; nothing on the
+    # coupler moves, and the engines still agree on the corrupted lattice
+    passed = {res.name: res.passed for res in run_acceptance("coupling_sign")}
+    assert [name for name, ok in passed.items() if not ok] == [
+        "transfer-path-entangled-fidelity", "tmsv-transfer-ceiling"]
+    assert all(ok for name, ok in passed.items()
+               if name.startswith(("coupler-", "engine-equivalence-")))

@@ -335,6 +335,40 @@ class TestPropagateCommand:
         first = dict(zip(lines[1].split(","), lines[2].split(",")))
         assert float(first["n_0"]) == float(first["n_1"]) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("engine", ["moments", "fock"])
+    @pytest.mark.parametrize("alpha", [40.0, 1e4])
+    def test_bright_coherent_light_runs(self, tmp_path, engine, alpha):
+        # mean photon number far above n_max: the kept law piles onto the
+        # top total, the tail is 1 - P(n_max) to rounding, and neither the
+        # tail sum nor exp(-|alpha|^2 / 2) grows or underflows with |alpha|
+        cfg = small_coupler_config()
+        cfg.update(n_max=12, engine=engine, pairs=[], fidelity_targets=[])
+        cfg["state"] = {"kind": "coherent", "alphas": [alpha, 0.0]}
+        out_path = tmp_path / "trace.csv"
+        argv = ["propagate", "--config", write_config(tmp_path, cfg), "--out", str(out_path)]
+        tracemalloc.start()
+        try:
+            with pytest.warns(TruncationWarning, match=r"discarded probability 1\.000e\+00"):
+                code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 10 * 10**6
+        table = np.loadtxt(out_path, delimiter=",", skiprows=2)
+        # p_11 / p_12 = 12 / mu: the means sum to 12 - 12 / mu to leading order
+        deficit = 12.0 - table[:, 1:].sum(axis=1)
+        assert np.all(np.abs(deficit - 12.0 / alpha**2) <= 0.01 * 12.0 / alpha**2 + 1e-9)
+
+    def test_coherent_light_whose_amplitudes_overflow_is_refused(self, capsys, tmp_path):
+        cfg = small_coupler_config()
+        cfg.update(n_max=12, pairs=[], fidelity_targets=[])
+        cfg["state"] = {"kind": "coherent", "alphas": [1e13, 0.0]}
+        argv = ["propagate", "--config", write_config(tmp_path, cfg),
+                "--out", str(tmp_path / "trace.csv")]
+        assert main(argv) == 2
+        assert "overflows the amplitudes" in capsys.readouterr().err
+
     def test_header_and_initial_row(self, tmp_path):
         out_path = tmp_path / "trace.csv"
         code = main(

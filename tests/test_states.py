@@ -220,11 +220,29 @@ class TestBuildCoherent:
             build_coherent(basis2, [alpha, 0.0])
 
     def test_rejects_amplitudes_whose_kept_mass_is_not_a_number(self, basis2):
-        # exp(-|alpha|^2 / 2) underflows to 0 while alpha^n overflows, so
-        # the kept probability is 0 * inf = NaN rather than a positive mass
+        # |alpha|^2 overflows to inf, so no Poisson law can be formed
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="no support"):
                 build_coherent(basis2, [1e200, 0.0])
+
+
+    @pytest.mark.parametrize("build", [
+        lambda alphas: build_coherent(FockBasis(2, 12), alphas),
+        lambda alphas: coherent_moments(alphas, 12),
+    ])
+    def test_rejects_light_whose_amplitudes_overflow(self, build):
+        # |alpha|^24 / 12! is about 1e303 at |alpha| = 1e13: its square overflows
+        with pytest.raises(ValueError, match="overflows the amplitudes"):
+            build([1e13, 0.0])
+
+    def test_bright_light_keeps_the_top_total(self):
+        # P(n) / P(12) = 12! / (n! mu^(12 - n)) for mu = 1e8: the state is
+        # almost all in the 12-photon sector, and all of the law is kept
+        with pytest.warns(TruncationWarning, match=r"1\.000e\+00"):
+            state = build_coherent(FockBasis(2, 12), [1e4, 0.0])
+        assert state.tail_mass == pytest.approx(1.0, abs=1e-15)
+        top = state.amplitudes[FockBasis(2, 12).rank((12, 0))]
+        assert abs(top) ** 2 == pytest.approx(1.0 / (1.0 + 12e-8), rel=1e-12)
 
 
 class TestBuildPathEntangled:
@@ -594,6 +612,17 @@ class TestAnalyticTmsvMoments:
             analytic_moments_tmsv(0.5, 0, 0, 2)
         with pytest.raises(ValueError):
             analytic_moments_tmsv(-0.5, 0, 1, 2)
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf, 400.0])
+    def test_rejects_squeezing_whose_moments_are_not_finite(self, r):
+        # sinh(400)^2 is about 1e347, beyond a float
+        with pytest.raises(ValueError, match="squeezing parameter"):
+            analytic_moments_tmsv(r, 0, 1, 2)
+
+    def test_largest_squeezing_with_finite_moments(self):
+        moments = analytic_moments_tmsv(354.0, 0, 1, 2)
+        assert np.all(np.isfinite(moments.second))
+        assert np.all(np.isfinite(moments.weights))
 
 
 class TestTruncatedVersusAnalytic:
