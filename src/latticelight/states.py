@@ -263,12 +263,13 @@ def build_coherent(basis: FockBasis, alphas) -> FockState:
     A TruncationWarning is emitted when the discarded probability exceeds
     1e-8.
     """
-    alphas, _, tail, log_fact = _coherent_law(alphas, basis.num_modes, basis.max_total)
-    # coef[j, n] = alpha_j^n / sqrt(n!); exp(-|alpha_j|^2 / 2) cancels, and would underflow
-    n_values = np.arange(basis.max_total + 1)
-    coef = np.empty((basis.num_modes, basis.max_total + 1), dtype=complex)
-    for j, alpha in enumerate(alphas):
-        coef[j] = alpha**n_values / np.exp(0.5 * log_fact)
+    alphas, _, tail = _coherent_law(alphas, basis.num_modes, basis.max_total)
+    # coef[j, n] = alpha_j^n / sqrt(n!) as a running product, since alpha_j^n and
+    # sqrt(n!) can each overflow where their ratio does not; exp(-|alpha_j|^2 / 2)
+    # cancels, and would underflow
+    steps = np.ones((basis.num_modes, basis.max_total + 1), dtype=complex)
+    steps[:, 1:] = alphas[:, None] / np.sqrt(np.arange(1, basis.max_total + 1))
+    coef = np.cumprod(steps, axis=1)
     amps = np.prod(coef[np.arange(basis.num_modes), basis.occupations], axis=1)
     return _normalized(basis, amps, tail)
 
@@ -289,7 +290,7 @@ def coherent_moments(alphas, max_total: int) -> MomentSet:
     The input is validated, and a TruncationWarning emitted, exactly as
     ``build_coherent`` does.
     """
-    alphas, law, _, _ = _coherent_law(alphas, np.size(alphas), max_total)
+    alphas, law, _ = _coherent_law(alphas, np.size(alphas), max_total)
     return MomentSet(math.sqrt(law[:max_total].sum()) * alphas[None, :],
                      np.stack((alphas, alphas))[None],
                      [[math.sqrt(law[:max(max_total - 1, 0)].sum())]])
@@ -415,13 +416,13 @@ def _coherent_law(alphas, num_modes: int, max_total: int):
     ``max_total`` photons, its photon-number law and its discarded mass.
 
     The untruncated total is Poisson with mean mu = sum |alpha_j|^2, with
-    terms p_n = exp(-mu) mu^n / n!.  Returns (alphas, law, tail, log_fact):
-    law[n] = p_n / P(max_total) for n up to max_total, with P the Poisson
-    CDF; tail = sum_{n > max_total} p_n, summed term by term while P(max_total)
-    >= 1/2, where 1 - P(max_total) would cancel, and taken as 1 - P(max_total)
-    below that, where the terms to sum would grow with mu; log_fact[n] = log
-    n! for n up to max_total.  Emits a TruncationWarning when the tail
-    exceeds 1e-8, and refuses light whose unnormalized amplitudes overflow.
+    terms p_n = exp(-mu) mu^n / n!.  Returns (alphas, law, tail): law[n] =
+    p_n / P(max_total) for n up to max_total, with P the Poisson CDF; tail =
+    sum_{n > max_total} p_n, summed term by term while P(max_total) >= 1/2,
+    where 1 - P(max_total) would cancel, and taken as 1 - P(max_total) below
+    that, where the terms to sum would grow with mu.  Emits a
+    TruncationWarning when the tail exceeds 1e-8, and refuses light whose
+    unnormalized amplitudes overflow.
     """
     if num_modes < 1:
         raise ValueError("need at least one mode")
@@ -435,10 +436,6 @@ def _coherent_law(alphas, num_modes: int, max_total: int):
     mu = float(np.vdot(alphas, alphas).real)
     if not math.isfinite(mu):
         raise ValueError("state has no support inside the truncated basis")
-    # sum_n mu^n / n! <= (max_total + 1) max(1, mu)^max_total
-    if not max_total * math.log(max(1.0, mu)) + math.log(max_total + 1) <= 700.0:
-        raise ValueError(f"mean photon number {mu:.3g} overflows the amplitudes "
-                         f"of a basis with up to {max_total} photons")
 
     def log_terms(n: np.ndarray, log_fact: np.ndarray) -> np.ndarray:
         # log(mu^n / n!), without the common -mu that would round it away
@@ -449,6 +446,10 @@ def _coherent_law(alphas, num_modes: int, max_total: int):
     n = np.arange(max_total + 1)
     log_fact = np.cumsum(np.log(np.maximum(n, 1)))
     head = log_terms(n, log_fact)
+    # the squared amplitudes sum to sum_n mu^n / n! <= (max_total + 1) max_n mu^n / n!
+    if not np.max(head) + math.log(max_total + 1) <= 700.0:
+        raise ValueError(f"mean photon number {mu:.3g} overflows the amplitudes "
+                         f"of a basis with up to {max_total} photons")
     kept = math.fsum(np.exp(head - mu))
     if kept < 0.5:
         tail = 1.0 - kept
@@ -461,7 +462,7 @@ def _coherent_law(alphas, num_modes: int, max_total: int):
     _warn_truncation(tail, stacklevel=4)
     # scaled by the largest term, so the law survives an underflowing P
     law = np.exp(head - np.max(head))
-    return alphas, law / np.sum(law), tail, log_fact
+    return alphas, law / np.sum(law), tail
 
 
 def _warn_truncation(tail: float, stacklevel: int = 3) -> None:

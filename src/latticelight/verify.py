@@ -18,7 +18,6 @@ two-waveguide coupler against its closed form cos^2(gz), sin^2(gz) and
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -36,7 +35,7 @@ from .lattice import (
     make_uniform,
 )
 from .moments import NumericalInconsistencyError, Trace, trace_observables
-from .runner import engine_gate, parse_config, propagate, run_propagate
+from .runner import engine_gate, load_config, parse_config, propagate, run_propagate
 from .spectral import eigendecompose, jacobi_matrix, transfer_matrix
 from .states import (
     FockBasis,
@@ -132,21 +131,21 @@ def format_report(results: list[CheckResult]) -> str:
 
 def _shipped(name: str) -> dict:
     """The raw shipped config ``configs/<name>.json``."""
-    path = resources.files("latticelight.configs").joinpath(f"{name}.json")
-    return json.loads(path.read_text(encoding="utf-8"))
+    return load_config(str(resources.files("latticelight.configs") / f"{name}.json"))
 
 
 def _figure_traces(fault: str | None) -> dict[str, tuple[FockState, Trace, Trace]]:
     """Every shipped figure config's state with its moments and Fock traces, keyed
     '<lattice>-<input>'.  The fault 'coupling_sign' flips the first coupling
-    of the transfer lattice.  The squeezed configs' tail of 4.57e-4 is folded
-    into the one tolerance that reads it, so their TruncationWarning is muted.
+    of the transfer lattice.  Only the squeezed configs' TruncationWarning is
+    muted: their tail of 4.57e-4 is folded into the one tolerance reading it.
     """
     figures = {}
     for prefix, lattice in _LATTICES:
         for row, kind in enumerate(_INPUTS, 1):
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore", TruncationWarning)
+                if kind == "tmsv":
+                    warnings.simplefilter("ignore", TruncationWarning)
                 cfg = parse_config(_shipped(f"{prefix}_row{row}"))
             spec = cfg.spec
             if fault == "coupling_sign" and lattice == "transfer":

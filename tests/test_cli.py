@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import time
@@ -360,6 +361,21 @@ class TestPropagateCommand:
         deficit = 12.0 - table[:, 1:].sum(axis=1)
         assert np.all(np.abs(deficit - 12.0 / alpha**2) <= 0.01 * 12.0 / alpha**2 + 1e-9)
 
+    @pytest.mark.parametrize("engine", ["moments", "fock"])
+    def test_coherent_light_in_a_deep_basis_runs(self, tmp_path, engine):
+        # 6^400 and sqrt(400!) each overflow a float, though their ratio and
+        # every mu^n / n! (mu = 36) stay far below the overflow bound
+        cfg = small_coupler_config()
+        cfg.update(n_max=400, engine=engine, pairs=[], fidelity_targets=[])
+        cfg["z_grid"] = {"start": 0.0, "stop": 1.0, "steps": 3}
+        cfg["state"] = {"kind": "coherent", "alphas": [6.0, 0.0]}
+        out_path = tmp_path / "trace.csv"
+        argv = ["propagate", "--config", write_config(tmp_path, cfg), "--out", str(out_path)]
+        assert main(argv) == 0
+        table = np.loadtxt(out_path, delimiter=",", skiprows=2)
+        assert np.max(np.abs(table[:, 1] - 36.0 * np.cos(table[:, 0]) ** 2)) <= 1e-10
+        assert np.max(np.abs(table[:, 2] - 36.0 * np.sin(table[:, 0]) ** 2)) <= 1e-10
+
     def test_coherent_light_whose_amplitudes_overflow_is_refused(self, capsys, tmp_path):
         cfg = small_coupler_config()
         cfg.update(n_max=12, pairs=[], fidelity_targets=[])
@@ -606,6 +622,48 @@ class TestThousandGuideChain:
                 assert np.max(np.abs(g2)) == 0.0
 
 
+# every check of ``latticelight verify``, in its order, with its tolerance
+# (the engine and squeezed-means tolerances scale with the traces they read)
+VERIFY_CHECKS = [
+    ("coupler-single-photon-means-moments", 1e-10),
+    ("coupler-single-photon-means-fock", 1e-10),
+    ("coupler-single-photon-fidelity", 1e-10),
+    ("chebyshev-spectrum", 1e-12),
+    ("hermite-spectrum", 1e-11),
+    ("transfer-single-photon-occupation", 1e-12),
+    ("transfer-single-photon-fidelity", 1e-12),
+    ("transfer-path-entangled-fidelity", 1e-12),
+    ("coherent-return-fidelity", 1e-06),
+    ("coherent-transfer-ceiling", 0.999),
+    ("tmsv-transfer-ceiling", 0.999),
+    ("tmsv-vs-path-entangled-means", 0.004572),
+    ("engine-equivalence-coupler-fock", 1e-11),
+    ("engine-equivalence-coupler-coherent", 2e-11),
+    ("engine-equivalence-coupler-path", 1e-11),
+    ("engine-equivalence-coupler-tmsv", 1.71e-11),
+    ("engine-equivalence-transfer-fock", 1e-11),
+    ("engine-equivalence-transfer-coherent", 2e-11),
+    ("engine-equivalence-transfer-path", 1e-11),
+    ("engine-equivalence-transfer-tmsv", 1.48e-11),
+    ("eigenvector-orthogonality", 1e-12),
+    ("eigen-residual", 1e-12),
+    ("transfer-unitarity", 1e-12),
+    ("photon-conservation", 1e-10),
+    ("transfer-composition", 1e-10),
+    ("tmsv-zero-distance-correlation", 1e-08),
+    ("coherent-moments-closed-form", 1e-13),
+    ("vacuum-stationarity", 1e-12),
+    ("path-entangled-stationarity", 1e-10),
+    ("propagate-determinism", 0.0),
+]
+
+
+def verify_report(out: str) -> list[tuple[str, str, float]]:
+    """(status, name, tolerance) of each check line of a ``verify`` report."""
+    return [(m[1], m[2], float(m[3])) for m in
+            re.finditer(r"^(PASS|FAIL)  (\S+): error=\S+ tolerance=(\S+)", out, re.M)]
+
+
 class TestVerifyCommand:
     def test_fresh_build_passes(self, capsys):
         code = main(["verify"])
@@ -614,12 +672,24 @@ class TestVerifyCommand:
         assert out.splitlines()[-1] == "all 30 checks passed"
         assert "photon-conservation" in out
         assert "FAIL" not in out
+        checks = verify_report(out)
+        assert [name for _, name, _ in checks] == [name for name, _ in VERIFY_CHECKS]
+        assert [tolerance for _, _, tolerance in checks] == pytest.approx(
+            [tolerance for _, tolerance in VERIFY_CHECKS], rel=1e-3, abs=0.0)
 
     def test_fault_injection_fails_named_check(self, capsys):
         code = main(["verify", "--inject-fault", "coupling_sign"])
         out = capsys.readouterr().out
         assert code == 1
         assert "FAIL  transfer-path-entangled-fidelity" in out
+        # flipping the first transfer coupling spoils the path-entangled mirror
+        # state and lets the squeezed pair reach its mirror; nothing on the
+        # coupler moves, and the engines still agree on the corrupted lattice
+        outcome = {name: status for status, name, _ in verify_report(out)}
+        assert [name for name, status in outcome.items() if status == "FAIL"] == [
+            "transfer-path-entangled-fidelity", "tmsv-transfer-ceiling"]
+        assert all(status == "PASS" for name, status in outcome.items()
+                   if name.startswith(("coupler-", "engine-equivalence-")))
 
     def test_writes_nothing_to_stderr(self):
         # a fresh interpreter shows every warning on stderr, as a user sees it
