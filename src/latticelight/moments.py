@@ -2,11 +2,12 @@
 
 Mode operators evolve linearly, a_p(z) = sum_k U[p, k] a_k(0), through the
 transfer matrix U(z) = V^T exp(-i Lambda z) V of the chain.  The engine
-never forms U: it evolves the few mode vectors of a ``MomentSet`` in the
-chain's eigenbasis, where a mode only gains a phase.  Mean photon numbers
-are the squared evolved second-moment vectors, and photon-number
-correlations take the squared norm of the evolved pair vector a_p a_q |psi>,
-which the evolved dyads of the pair factor give at the requested modes.
+never forms U: ``spectral.evolve_modes`` evolves the few mode vectors of a
+``MomentSet`` in the chain's eigenbasis, where a mode only gains a phase.
+Mean photon numbers are the squared evolved second-moment vectors, and
+photon-number correlations take the squared norm of the evolved pair vector
+a_p a_q |psi>, which the evolved dyads of the pair factor give at the
+requested modes.
 The correlation <n_p n_q> is computed exactly as written, i.e. including the
 commutator term delta_{p,q} <n_p> rather than its normally-ordered part
 alone.  ``trace_observables`` is the engine's one readout, for a single
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Spectrum
+from .spectral import Spectrum, evolve_modes
 from .states import MomentSet
 
 __all__ = [
@@ -82,9 +83,8 @@ def trace_observables(
 ) -> Trace:
     """Mean photon numbers and correlations along a propagation-distance grid.
 
-    In the chain's eigenbasis a mode only gains a phase, so each mode vector
-    of ``m`` evolves as U(z) y = V^T (exp(-i lambda z) * V y), and the
-    means are <n_p> = sum_t |(U y_t)_p|^2.  A correlation is the squared
+    Each mode vector y of ``m`` evolves by ``evolve_modes`` to U(z) y, and
+    the means are <n_p> = sum_t |(U y_t)_p|^2.  A correlation is the squared
     norm <n_p n_q> = sum_r |A_r|^2 of the evolved pair vector (plus <n_p>
     when p == q), with A_r = sum_s c[s, r] ((U x_s)_p (U x'_s)_q +
     (U x'_s)_p (U x_s)_q) / 2 read from the dyads at the requested modes
@@ -97,17 +97,7 @@ def trace_observables(
     if N != m.num_modes:
         raise ValueError("spectrum and moments have different mode counts")
     z_values, pair_list = check_sweep(z_grid, pairs, N)
-    V = spectrum.eigenvectors
-    phases = np.exp(-1j * np.multiply.outer(z_values, spectrum.eigenvalues))
-
-    def evolve(vectors, columns):
-        """(U(z) y)_p for every z, row y of ``vectors`` and p in ``columns``,
-        as a [Z, rows, columns] array."""
-        spread = phases[:, None, :] * (vectors @ V.T)
-        ends = V[:, columns]
-        return (spread.reshape(-1, N) @ ends).reshape(*spread.shape[:2], ends.shape[1])
-
-    evolved = evolve(m.vectors, slice(None))
+    evolved = evolve_modes(spectrum, m.vectors, z_values)
     means = (evolved.real**2 + evolved.imag**2).sum(axis=1)
 
     corr = np.empty((z_values.size, 0))
@@ -116,7 +106,8 @@ def trace_observables(
         codes, index = np.unique(a * N + b, return_inverse=True)
         modes, at = np.unique(np.concatenate((codes // N, codes % N)), return_inverse=True)
         S = m.dyads.shape[0]
-        evolved = evolve(m.dyads.reshape(2 * S, N), modes).reshape(z_values.size, S, 2, modes.size)
+        evolved = evolve_modes(spectrum, m.dyads.reshape(2 * S, N), z_values, modes)
+        evolved = evolved.reshape(z_values.size, S, 2, modes.size)
         left, right = evolved[:, :, 0], evolved[:, :, 1]
         p, q = at.reshape(2, -1)
         pair = left[..., p] * right[..., q] + right[..., p] * left[..., q]

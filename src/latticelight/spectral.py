@@ -1,8 +1,9 @@
 """Eigen-decomposition of the tridiagonal coupling matrix and the
-single-excitation transfer matrices U(z) = V^T exp(-i Lambda z) V.
+single-excitation propagator U(z) = V^T exp(-i Lambda z) V.
 
-The moments engine evolves mode vectors in the eigenbasis and never forms
-U; ``transfer_matrix`` serves ``verify``'s unitarity checks.  The coupling
+``evolve_modes`` is the one place U(z) is applied: it evolves mode vectors
+in the eigenbasis, where a mode only gains a phase, and never forms U.  The
+moments engine and ``verify``'s unitarity checks both call it.  The coupling
 matrix of a nearest-neighbor chain is a real symmetric Jacobi matrix.  Its
 eigenvectors are orthogonal-polynomial values,
 v_k(lambda) = v_0(lambda) P_k(lambda), which is what gives the paper's
@@ -26,7 +27,7 @@ __all__ = [
     "Spectrum",
     "jacobi_matrix",
     "eigendecompose",
-    "transfer_matrix",
+    "evolve_modes",
 ]
 
 # Components below this fraction of a row's largest are not trusted to fix
@@ -94,15 +95,18 @@ def eigendecompose(spec: LatticeSpec) -> Spectrum:
     return Spectrum(eigenvalues[order], vectors[order])
 
 
-def transfer_matrix(spectrum: Spectrum, z) -> np.ndarray:
-    """U(z) = V^T diag(exp(-i lambda_k z)) V for every distance in ``z``.
+def evolve_modes(spectrum: Spectrum, vectors, z_values, columns=slice(None)) -> np.ndarray:
+    """(U(z) y)_p for every distance z, row y of ``vectors`` and p in ``columns``.
 
-    Returns an array of shape ``z.shape + (N, N)``: one matrix for a scalar
-    z, a [Z, N, N] stack for a grid.
+    In the eigenbasis a mode only gains a phase, so U(z) y = V^T (exp(-i
+    lambda z) * V y), and U itself is never formed.  Returns a [Z, rows,
+    columns] array; ``vectors = np.eye(N)`` gives U(z)^T at each distance.
     """
-    z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z) & (z >= 0)):
+    z_values = np.asarray(z_values, dtype=float)
+    if not np.all(np.isfinite(z_values) & (z_values >= 0)):
         raise ValueError("propagation distance z must be finite and >= 0")
     V = spectrum.eigenvectors
-    phases = np.exp(-1j * np.multiply.outer(z, spectrum.eigenvalues))
-    return (V.T * phases[..., None, :]) @ V
+    phases = np.exp(-1j * np.multiply.outer(z_values, spectrum.eigenvalues))
+    spread = phases[:, None, :] * (vectors @ V.T)
+    ends = V[:, columns]
+    return (spread.reshape(-1, spectrum.size) @ ends).reshape(*spread.shape[:2], ends.shape[1])

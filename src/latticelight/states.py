@@ -434,8 +434,6 @@ def _coherent_law(alphas, num_modes: int, max_total: int):
     if not np.all(np.isfinite(alphas)):
         raise ValueError("coherent amplitudes must be finite")
     mu = float(np.vdot(alphas, alphas).real)
-    if not math.isfinite(mu):
-        raise ValueError("state has no support inside the truncated basis")
 
     def log_terms(n: np.ndarray, log_fact: np.ndarray) -> np.ndarray:
         # log(mu^n / n!), without the common -mu that would round it away
@@ -445,8 +443,9 @@ def _coherent_law(alphas, num_modes: int, max_total: int):
 
     n = np.arange(max_total + 1)
     log_fact = np.cumsum(np.log(np.maximum(n, 1)))
-    head = log_terms(n, log_fact)
-    # the squared amplitudes sum to sum_n mu^n / n! <= (max_total + 1) max_n mu^n / n!
+    # the squared amplitudes sum to sum_n mu^n / n! <= (max_total + 1) max_n mu^n / n!;
+    # a mu that overflowed to inf is refused before 0 * log(mu) makes a NaN
+    head = log_terms(n, log_fact) if math.isfinite(mu) else np.full(1, math.inf)
     if not np.max(head) + math.log(max_total + 1) <= 700.0:
         raise ValueError(f"mean photon number {mu:.3g} overflows the amplitudes "
                          f"of a basis with up to {max_total} photons")

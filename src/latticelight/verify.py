@@ -36,7 +36,7 @@ from .lattice import (
 )
 from .moments import NumericalInconsistencyError, Trace, trace_observables
 from .runner import engine_gate, load_config, parse_config, propagate, run_propagate
-from .spectral import eigendecompose, jacobi_matrix, transfer_matrix
+from .spectral import eigendecompose, evolve_modes, jacobi_matrix
 from .states import (
     FockBasis,
     FockState,
@@ -49,10 +49,10 @@ from .states import (
     moments_of,
 )
 
-__all__ = ["CheckResult", "hermite_zeros", "run_acceptance", "format_report", "R_HALF_PHOTON"]
+__all__ = ["CheckResult", "hermite_zeros", "run_acceptance", "format_report"]
 
 # squeezing that puts half a photon in each squeezed mode: arcsinh(2**-0.5)
-R_HALF_PHOTON = float(np.arcsinh(2**-0.5))
+_R_HALF_PHOTON = float(np.arcsinh(2**-0.5))
 
 _COUPLER = LatticeSpec(np.zeros(2), np.ones(1))
 
@@ -288,7 +288,8 @@ def check_conservation_unitarity() -> list[CheckResult]:
         resid_err = max(resid_err, float(np.max(np.abs(residual))) / scale)
 
         z1, z2 = rng.uniform(0.0, 10.0, size=2)
-        U1, U2, U12 = transfer_matrix(spectrum, np.array([z1, z2, z1 + z2]))
+        # the engine's propagator on the unit vectors: U(z)^T, transposed back
+        U1, U2, U12 = evolve_modes(spectrum, np.eye(N), [z1, z2, z1 + z2]).transpose(0, 2, 1)
         unit_err = max(
             unit_err, float(np.max(np.abs(U1 @ U1.conj().T - np.eye(N))))
         )
@@ -320,10 +321,10 @@ def check_tmsv_zero_distance() -> CheckResult:
     the square of the kept pair count, so this check uses a deep basis
     (n_max = 48) to push the systematic error below the 1e-8 floor.
     """
-    x = math.tanh(R_HALF_PHOTON) ** 2
+    x = math.tanh(_R_HALF_PHOTON) ** 2
     oracle = math.fsum(j * j * (1.0 - x) * x**j for j in range(400))
 
-    state = build_tmsv(FockBasis(2, 48), 0, 1, R_HALF_PHOTON)
+    state = build_tmsv(FockBasis(2, 48), 0, 1, _R_HALF_PHOTON)
     error = max(
         abs(propagate(_COUPLER, state, [0.0], [(0, 1)], engine=engine).g2[0, 0] - oracle)
         for engine in ("moments", "fock")

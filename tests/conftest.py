@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from latticelight import FockBasis, LatticeSpec
+from latticelight.spectral import jacobi_matrix
 
 
 @pytest.fixture(scope="session")
@@ -33,6 +34,21 @@ def dense():
         return matrix
 
     return assemble
+
+
+@pytest.fixture(scope="session")
+def transfer():
+    """Dense transfer matrices U(z) = exp(-i M z) of a chain, one N x N matrix
+    per distance (a [Z, N, N] stack for a grid), from numpy's ``eigh`` of its
+    coupling matrix M with no sign rule: an oracle that shares no code with
+    ``spectral.evolve_modes``, which never forms U."""
+
+    def stack(spec, z):
+        values, vectors = np.linalg.eigh(jacobi_matrix(spec))
+        phases = np.exp(-1j * np.multiply.outer(np.asarray(z, dtype=float), values))
+        return (vectors * phases[..., None, :]) @ vectors.T
+
+    return stack
 
 
 @pytest.fixture(scope="session")

@@ -7,8 +7,10 @@ figure-level checks share one set of traces of the shipped figure configs,
 built once for the module.
 """
 
+import numpy as np
 import pytest
 
+from latticelight import moments, spectral, verify
 from latticelight.verify import (
     _figure_traces,
     check_chebyshev_spectrum,
@@ -83,6 +85,33 @@ def test_criterion_7_conservation_and_unitarity():
     # (1e-12 relative), unitary transfer (1e-12), conserved photon number
     # (1e-10) and the composition law (1e-10)
     report("7", check_conservation_unitarity())
+
+
+def swapped_propagator(spectrum, vectors, z_values, columns=slice(None)):
+    """V^T D V^T in place of U = V^T D V: V in place of V^T on the way in.
+    A product of unitaries, so it is unitary, but U(z1) U(z2) != U(z1 + z2)."""
+    V = spectrum.eigenvectors
+    phases = np.exp(-1j * np.multiply.outer(np.asarray(z_values, dtype=float),
+                                            spectrum.eigenvalues))
+    return np.einsum("zk,rk,kp->zrp", phases, vectors @ V, V[:, columns])
+
+
+def real_propagator(spectrum, vectors, z_values, columns=slice(None)):
+    """Re U = V^T cos(Lambda z) V, which is not unitary."""
+    return spectral.evolve_modes(spectrum, vectors, z_values, columns).real + 0j
+
+
+@pytest.mark.parametrize("propagator,failing", [
+    (swapped_propagator, ["transfer-composition"]),
+    (real_propagator, ["transfer-unitarity", "photon-conservation", "transfer-composition"]),
+])
+def test_criterion_7_reads_the_engine_propagator(monkeypatch, propagator, failing):
+    # the transfer checks and the photon count read the propagator the
+    # moments engine runs, so a fault in it fails them
+    for module in (moments, verify):
+        monkeypatch.setattr(module, "evolve_modes", propagator)
+    results = check_conservation_unitarity()
+    assert [res.name for res in results if not res.passed] == failing
 
 
 def test_criterion_8_tmsv_zero_distance_correlation():

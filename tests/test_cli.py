@@ -1,8 +1,6 @@
-import importlib
 import json
 import math
 import os
-import pkgutil
 import re
 import subprocess
 import sys
@@ -15,7 +13,7 @@ import numpy as np
 import pytest
 
 import latticelight
-from latticelight import TruncationWarning, runner, spectral
+from latticelight import TruncationWarning, make_uniform, runner
 from latticelight.cli import main
 from latticelight.runner import (
     ConfigError,
@@ -385,6 +383,18 @@ class TestPropagateCommand:
         assert main(argv) == 2
         assert "overflows the amplitudes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("engine", ["moments", "fock"])
+    def test_coherent_light_whose_mean_photon_number_overflows_is_refused(self, capsys, tmp_path,
+                                                                          engine):
+        # |alpha|^2 = 1e400 overflows to inf before any amplitude is formed
+        cfg = small_coupler_config()
+        cfg.update(n_max=12, engine=engine, pairs=[], fidelity_targets=[])
+        cfg["state"] = {"kind": "coherent", "alphas": [1e200, 0.0]}
+        argv = ["propagate", "--config", write_config(tmp_path, cfg),
+                "--out", str(tmp_path / "trace.csv")]
+        assert main(argv) == 2
+        assert "overflows the amplitudes" in capsys.readouterr().err
+
     def test_header_and_initial_row(self, tmp_path):
         out_path = tmp_path / "trace.csv"
         code = main(
@@ -506,7 +516,7 @@ class TestMomentsOnlyCoherentRun:
         assert main(argv + [write_config(tmp_path, self.config(4, "both"))]) == 1
         assert "FockBasis built" in capsys.readouterr().err
 
-    def test_long_chain_matches_the_analytic_trace_in_little_memory(self, tmp_path):
+    def test_long_chain_matches_the_analytic_trace_in_little_memory(self, tmp_path, transfer):
         # truncated coherent light keeps <n_p> = r1 |beta_p|^2 and
         # <n_p n_q> = r2 |beta_p|^2 |beta_q|^2 + delta_pq <n_p>, with
         # beta = U alpha and r_k = P(M - k) / P(M) of the Poisson CDF P;
@@ -530,33 +540,13 @@ class TestMomentsOnlyCoherentRun:
                for K in (M - 2, M - 1, M)]
         r2, r1 = cdf[0] / cdf[2], cdf[1] / cdf[2]
         z_values = np.linspace(0.0, 2.0, 11)
-        chain = np.diag(np.ones(N - 1), 1)
-        values, vectors = np.linalg.eigh(chain + chain.T)
-        U = (vectors * np.exp(-1j * np.multiply.outer(z_values, values))[:, None, :]) @ vectors.T
+        U = transfer(make_uniform(N, 0.0, 1.0), z_values)
         weights = np.abs(U @ alphas) ** 2
         expected = np.stack([r2 * weights[:, p] * weights[:, q] + (p == q) * r1 * weights[:, p]
                              for p, q in cfg["pairs"]], axis=1)
         assert np.max(np.abs(table[:, 0] - z_values)) <= 1e-12
         assert np.max(np.abs(table[:, 1:N + 1] - r1 * weights)) <= 1e-12
         assert np.max(np.abs(table[:, N + 1:] - expected)) <= 1e-12
-
-    def test_moments_engine_forms_no_transfer_matrix(self, tmp_path, monkeypatch):
-        # the moments engine evolves mode vectors; a [Z, N, N] stack of
-        # transfer matrices is for verify's unitarity checks alone
-        def refuse(*args):
-            raise AssertionError("transfer matrix formed")
-
-        for info in pkgutil.iter_modules(latticelight.__path__):
-            module = importlib.import_module(f"latticelight.{info.name}")
-            if hasattr(module, "transfer_matrix"):
-                monkeypatch.setattr(module, "transfer_matrix", refuse)
-        assert spectral.transfer_matrix is refuse
-        argv = ["propagate", "--out", str(tmp_path / "trace.csv"), "--config"]
-        assert main(argv + [write_config(tmp_path, self.config(32, "moments"))]) == 0
-        for name in PRESETS:
-            config = preset(name)
-            assert config["engine"] == "both"
-            assert main(argv + [write_config(tmp_path, config)]) == 0
 
 
 class TestThousandGuideChain:

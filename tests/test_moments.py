@@ -17,7 +17,7 @@ from latticelight import (
     make_perfect_transfer,
 )
 from latticelight.moments import trace_observables
-from latticelight.spectral import eigendecompose, transfer_matrix
+from latticelight.spectral import eigendecompose, evolve_modes
 from latticelight.states import MomentSet, moments_of
 
 R_HALF = float(np.arcsinh(2**-0.5))
@@ -80,7 +80,7 @@ class TestMeanPhotons:
             atol=1e-8,
         )
 
-    def test_coherent_states_stay_coherent(self, basis4):
+    def test_coherent_states_stay_coherent(self, basis4, transfer):
         # under linear propagation the mean field evolves as U @ alphas
         spec = make_perfect_transfer(4, 1.0)
         spectrum = eigendecompose(spec)
@@ -88,7 +88,7 @@ class TestMeanPhotons:
         state = build_coherent(basis4, alphas)
         tol = max(1e-8, 10.0 * state.tail_mass)
         grid = [0.0, 0.4, 1.0, 1.7]
-        expected = np.abs(transfer_matrix(spectrum, grid) @ alphas) ** 2
+        expected = np.abs(transfer(spec, grid) @ alphas) ** 2
         means = trace_observables(spectrum, moments_of(state), grid).means
         assert np.max(np.abs(means - expected)) < tol
 
@@ -240,12 +240,12 @@ class TestTraceObservables:
         with pytest.raises(ValueError, match=r"finite and >= 0"):
             trace_observables(coupler_spectrum, moments, [-0.1, 0.5], [])
         with pytest.raises(ValueError, match=r"finite and >= 0"):
-            transfer_matrix(coupler_spectrum, -0.1)
+            evolve_modes(coupler_spectrum, np.eye(2), [-0.1])
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), N=st.integers(2, 8), steps=st.integers(1, 12))
-    def test_batched_sweep_matches_single_distance_functions(self, fourth_moments, seed, N,
-                                                             steps):
+    def test_batched_sweep_matches_single_distance_functions(self, fourth_moments, transfer,
+                                                             seed, N, steps):
         rng = np.random.default_rng(seed)
         spec = LatticeSpec(rng.uniform(-2.0, 2.0, N), rng.uniform(0.1, 2.0, N - 1))
         spectrum = eigendecompose(spec)
@@ -258,8 +258,7 @@ class TestTraceObservables:
         assert trace.pairs == tuple(pairs)
         assert np.array_equal(trace.z, z_grid)
         for i, z in enumerate(z_grid):
-            means, corr = single_distance_observables(transfer_matrix(spectrum, z), moments,
-                                                      fourth, pairs)
+            means, corr = single_distance_observables(transfer(spec, z), moments, fourth, pairs)
             assert np.max(np.abs(trace.means[i] - means)) < 1e-12
             assert np.max(np.abs(trace.g2[i] - corr)) < 1e-12
 

@@ -14,7 +14,7 @@ from latticelight import (
     make_perfect_transfer,
     make_uniform,
 )
-from latticelight.spectral import eigendecompose, jacobi_matrix, transfer_matrix
+from latticelight.spectral import eigendecompose, evolve_modes, jacobi_matrix
 from latticelight.verify import hermite_zeros
 
 FAMILIES = {
@@ -252,15 +252,20 @@ class TestEigendecompose:
         assert np.max(np.abs(spectrum.eigenvalues - expected)) < 1e-10
 
 
-class TestTransferMatrix:
+def transfer_stack(spectrum, z_values):
+    """U(z) at each distance, from the propagator applied to the unit vectors."""
+    return evolve_modes(spectrum, np.eye(spectrum.size), z_values).transpose(0, 2, 1)
+
+
+class TestEvolveModes:
     def test_zero_distance_is_identity(self, coupler):
-        U = transfer_matrix(eigendecompose(coupler), 0.0)
+        (U,) = transfer_stack(eigendecompose(coupler), [0.0])
         assert np.max(np.abs(U - np.eye(2))) < 1e-12
 
     @pytest.mark.parametrize("z", [0.3, 1.0, math.pi / 4.0, 2.7])
     def test_coupler_closed_form(self, coupler, z):
         # exponentiating [[0, 1], [1, 0]] by hand gives cos/sin entries
-        U = transfer_matrix(eigendecompose(coupler), z)
+        (U,) = transfer_stack(eigendecompose(coupler), [z])
         expected = np.array(
             [
                 [math.cos(z), -1j * math.sin(z)],
@@ -271,7 +276,7 @@ class TestTransferMatrix:
 
     def test_transfer_chain_anti_diagonal(self):
         spectrum = eigendecompose(make_perfect_transfer(4, 1.0))
-        U = transfer_matrix(spectrum, 1.0)
+        (U,) = transfer_stack(spectrum, [1.0])
         for j in range(4):
             assert abs(abs(U[j, 3 - j]) - 1.0) < 1e-10
 
@@ -280,9 +285,7 @@ class TestTransferMatrix:
         for _ in range(30):
             spectrum = eigendecompose(random_spec(rng))
             z1, z2 = rng.uniform(0.0, 10.0, size=2)
-            U1 = transfer_matrix(spectrum, z1)
-            U2 = transfer_matrix(spectrum, z2)
-            U12 = transfer_matrix(spectrum, z1 + z2)
+            U1, U2, U12 = transfer_stack(spectrum, [z1, z2, z1 + z2])
             N = U1.shape[0]
             assert np.max(np.abs(U1 @ U1.conj().T - np.eye(N))) < 1e-12
             assert np.max(np.abs(U1 @ U2 - U12)) < 1e-10
@@ -290,16 +293,16 @@ class TestTransferMatrix:
     def test_grid_gives_one_matrix_per_distance(self):
         spectrum = eigendecompose(make_perfect_transfer(5, 1.0))
         z_values = np.array([0.0, 0.3, 1.0, 2.7])
-        stack = transfer_matrix(spectrum, z_values)
+        stack = transfer_stack(spectrum, z_values)
         assert stack.shape == (4, 5, 5)
         for z, U in zip(z_values, stack):
-            assert np.max(np.abs(U - transfer_matrix(spectrum, z))) < 1e-15
+            assert np.max(np.abs(U - transfer_stack(spectrum, [z])[0])) < 1e-15
 
     def test_rejects_bad_distances(self, coupler):
         spectrum = eigendecompose(coupler)
         with pytest.raises(ValueError):
-            transfer_matrix(spectrum, math.inf)
+            transfer_stack(spectrum, [math.inf])
         with pytest.raises(ValueError):
-            transfer_matrix(spectrum, -1.0)
+            transfer_stack(spectrum, [-1.0])
         with pytest.raises(ValueError):
-            transfer_matrix(spectrum, [0.0, math.nan])
+            transfer_stack(spectrum, [0.0, math.nan])
