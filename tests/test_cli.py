@@ -1,6 +1,8 @@
+import importlib
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -25,6 +27,7 @@ from latticelight.runner import (
     run_propagate,
     run_spectrum,
 )
+from latticelight.spectral import evolve_modes
 
 PRESETS = [f"fig1_row{i}" for i in range(1, 5)] + [f"fig2_row{i}" for i in range(1, 5)]
 
@@ -547,6 +550,31 @@ class TestMomentsOnlyCoherentRun:
         assert np.max(np.abs(table[:, 0] - z_values)) <= 1e-12
         assert np.max(np.abs(table[:, 1:N + 1] - r1 * weights)) <= 1e-12
         assert np.max(np.abs(table[:, N + 1:] - expected)) <= 1e-12
+
+    def test_moments_engine_forms_no_transfer_matrix(self, tmp_path, monkeypatch):
+        # the moments engine evolves mode vectors; propagating the unit
+        # vectors, i.e. forming a [Z, N, N] stack of transfer matrices, is
+        # for verify's unitarity checks alone
+        calls = []
+
+        def refuse_identity(spectrum, vectors, z_values, columns=slice(None)):
+            N = spectrum.size
+            if np.shape(vectors) == (N, N) and np.array_equal(vectors, np.eye(N)):
+                raise AssertionError("transfer matrix formed")
+            calls.append(np.shape(vectors))
+            return evolve_modes(spectrum, vectors, z_values, columns)
+
+        for info in pkgutil.iter_modules(latticelight.__path__):
+            module = importlib.import_module(f"latticelight.{info.name}")
+            if hasattr(module, "evolve_modes"):
+                monkeypatch.setattr(module, "evolve_modes", refuse_identity)
+        argv = ["propagate", "--out", str(tmp_path / "trace.csv"), "--config"]
+        assert main(argv + [write_config(tmp_path, self.config(32, "moments"))]) == 0
+        assert calls
+        for name in PRESETS:
+            config = preset(name)
+            assert config["engine"] == "both"
+            assert main(argv + [write_config(tmp_path, config)]) == 0
 
 
 class TestThousandGuideChain:

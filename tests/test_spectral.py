@@ -257,7 +257,9 @@ def transfer_stack(spectrum, z_values):
     return evolve_modes(spectrum, np.eye(spectrum.size), z_values).transpose(0, 2, 1)
 
 
-class TestEvolveModes:
+class TestTransferMatrix:
+    """U(z) as the engine's propagator ``evolve_modes`` gives it."""
+
     def test_zero_distance_is_identity(self, coupler):
         (U,) = transfer_stack(eigendecompose(coupler), [0.0])
         assert np.max(np.abs(U - np.eye(2))) < 1e-12

@@ -561,7 +561,7 @@ class TestCoherentMoments:
         [
             ([math.nan, 0.0], 3, "finite"),
             ([complex(0.0, math.inf), 0.0], 3, "finite"),
-            ([1e200, 0.0], 3, "overflows the amplitudes"),
+            pytest.param([1e200, 0.0], 3, "overflows the amplitudes", id="alphas2-3-overflows"),
             ([[0.1, 0.2]], 3, "one coherent amplitude per mode"),
         ],
     )
