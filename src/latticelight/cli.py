@@ -37,15 +37,7 @@ def main(argv=None) -> int:
     propagate.add_argument("--config", required=True, help="JSON run configuration")
     propagate.add_argument("--out", required=True, help="output CSV path")
 
-    verify = commands.add_parser(
-        "verify", help="run the built-in acceptance checks"
-    )
-    verify.add_argument(
-        "--inject-fault",
-        choices=["coupling_sign"],
-        default=None,
-        help="test hook: corrupt one lattice so a named check fails",
-    )
+    commands.add_parser("verify", help="run the built-in acceptance checks")
 
     args = parser.parse_args(argv)
     try:
@@ -60,7 +52,7 @@ def main(argv=None) -> int:
         # the verify command; only it loads the acceptance suite
         from .verify import format_report, run_acceptance
 
-        results = run_acceptance(fault=args.inject_fault)
+        results = run_acceptance()
         print(format_report(results))
         return 0 if all(res.passed for res in results) else 1
     except ConfigError as err:

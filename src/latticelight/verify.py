@@ -12,8 +12,9 @@ The oracles here need no eigensolver, so they check the one the moments
 engine uses (LAPACK ``eigh``) independently: the square-root-graded chain is
 checked against Hermite zeros found by Sturm-count bisection of the Hermite
 recursion, the uniform chain against the cosine law, and the balanced
-two-waveguide coupler against its closed form cos^2(gz), sin^2(gz) and
-|cos gz|.
+two-waveguide coupler against its closed forms: cos^2(gz), sin^2(gz) and
+|cos gz| for one photon, and (1 +- sin 2gz) / 2 for coherent amplitudes
+(1, i) / sqrt(2), the one input whose means tell z from -z.
 """
 
 from __future__ import annotations
@@ -90,14 +91,12 @@ def hermite_zeros(n: int) -> np.ndarray:
     return sturm_brackets(recursion, range(n), 64).mean(axis=1)
 
 
-def run_acceptance(fault: str | None = None) -> list[CheckResult]:
-    """Run every acceptance check; ``fault`` is a test hook that corrupts
-    one lattice to prove the suite can fail (see ``--inject-fault``)."""
-    if fault not in (None, "coupling_sign"):
-        raise ValueError(f"unknown fault {fault!r}")
-    figures = _figure_traces(fault)
+def run_acceptance() -> list[CheckResult]:
+    """Run every acceptance check, in report order."""
+    figures = _figure_traces()
     results: list[CheckResult] = []
     results.extend(check_coupler_single_photon(figures))
+    results.append(check_coupler_phase())
     results.append(check_chebyshev_spectrum())
     results.append(check_hermite_spectrum())
     results.extend(check_perfect_transfer(figures))
@@ -134,10 +133,9 @@ def _shipped(name: str) -> dict:
     return load_config(str(resources.files("latticelight.configs") / f"{name}.json"))
 
 
-def _figure_traces(fault: str | None) -> dict[str, tuple[FockState, Trace, Trace]]:
+def _figure_traces() -> dict[str, tuple[FockState, Trace, Trace]]:
     """Every shipped figure config's state with its moments and Fock traces, keyed
-    '<lattice>-<input>'.  The fault 'coupling_sign' flips the first coupling
-    of the transfer lattice.  Only the squeezed configs' TruncationWarning is
+    '<lattice>-<input>'.  Only the squeezed configs' TruncationWarning is
     muted: their tail of 4.57e-4 is folded into the one tolerance reading it.
     """
     figures = {}
@@ -147,13 +145,8 @@ def _figure_traces(fault: str | None) -> dict[str, tuple[FockState, Trace, Trace
                 if kind == "tmsv":
                     warnings.simplefilter("ignore", TruncationWarning)
                 cfg = parse_config(_shipped(f"{prefix}_row{row}"))
-            spec = cfg.spec
-            if fault == "coupling_sign" and lattice == "transfer":
-                couplings = np.array(spec.couplings)
-                couplings[0] = -couplings[0]
-                spec = LatticeSpec(spec.omegas, couplings)
-            moments = propagate(spec, cfg.state, cfg.z_values, cfg.pairs, engine="moments")
-            fock = propagate(spec, cfg.state, cfg.z_values, cfg.pairs, cfg.fidelity_targets,
+            moments = propagate(cfg.spec, cfg.state, cfg.z_values, cfg.pairs, engine="moments")
+            fock = propagate(cfg.spec, cfg.state, cfg.z_values, cfg.pairs, cfg.fidelity_targets,
                              engine="fock")
             figures[f"{lattice}-{kind}"] = (cfg.state, moments, fock)
     return figures
@@ -182,6 +175,21 @@ def check_coupler_single_photon(figures) -> list[CheckResult]:
         _result("coupler-single-photon-fidelity",
                 np.max(np.abs(_fidelity(fock, "initial") - np.abs(np.cos(z_values)))), 1e-10),
     ]
+
+
+def check_coupler_phase() -> CheckResult:
+    """Balanced coupler, coherent amplitudes (1, i) / sqrt(2): the means
+    (1 + sin 2z) / 2 and (1 - sin 2z) / 2 tell z from -z, which no real
+    input on a real chain does.  Both engines read the state truncated at
+    n_max = 20, whose Poisson(1) tail of about 7e-21 stays below rounding."""
+    state = build_coherent(FockBasis(2, 20), np.array([1.0, 1.0j]) / math.sqrt(2.0))
+    z_values = np.linspace(0.0, 0.5 * math.pi, 5)
+    swing = np.sin(2.0 * z_values)
+    expected = 0.5 * np.column_stack((1.0 + swing, 1.0 - swing))
+    error = max(np.max(np.abs(propagate(_COUPLER, state, z_values, engine=engine).means
+                              - expected))
+                for engine in ("moments", "fock"))
+    return _result("coupler-coherent-phase-means", error, 1e-12)
 
 
 def check_chebyshev_spectrum() -> CheckResult:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from latticelight import FockBasis, LatticeSpec
+from latticelight import FockBasis, LatticeSpec, runner, verify
 from latticelight.spectral import jacobi_matrix
+
+pytest_plugins = ["pytester"]
 
 
 @pytest.fixture(scope="session")
@@ -65,3 +67,22 @@ def fourth_moments():
         return real + 1j * imag
 
     return rebuild
+
+
+@pytest.fixture
+def flipped_transfer_coupling(monkeypatch):
+    """Fault: every config parsed for ``verify`` on the perfect-transfer
+    lattice gets the sign of its first coupling flipped, patched into each
+    module that holds ``parse_config``."""
+    parse = runner.parse_config
+
+    def flipped(raw):
+        cfg = parse(raw)
+        if raw["lattice"].get("family") == "perfect_transfer":
+            couplings = np.array(cfg.spec.couplings)
+            couplings[0] = -couplings[0]
+            cfg.spec = LatticeSpec(cfg.spec.omegas, couplings)
+        return cfg
+
+    for module in (runner, verify):
+        monkeypatch.setattr(module, "parse_config", flipped)

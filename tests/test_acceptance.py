@@ -16,6 +16,7 @@ from latticelight.verify import (
     check_chebyshev_spectrum,
     check_coherent_moments,
     check_conservation_unitarity,
+    check_coupler_phase,
     check_coupler_single_photon,
     check_determinism,
     check_engine_equivalence,
@@ -28,7 +29,7 @@ from latticelight.verify import (
 
 @pytest.fixture(scope="module")
 def figures():
-    return _figure_traces(None)
+    return _figure_traces()
 
 
 def report(criterion: str, results) -> None:
@@ -48,6 +49,12 @@ def test_criterion_1_coupler_single_photon(figures):
     # both engines reproduce cos^2 / sin^2 means on 201 points over
     # [0, 2 pi] and the return fidelity |cos z|, all within 1e-10
     report("1", check_coupler_single_photon(figures))
+
+
+def test_criterion_1_coupler_coherent_phase_means():
+    # both engines give coherent amplitudes (1, i) / sqrt(2) the means
+    # (1 +- sin 2z) / 2, which the time-reversed propagator swaps, within 1e-12
+    report("1", check_coupler_phase())
 
 
 def test_criterion_2_uniform_chain_cosine_spectrum():

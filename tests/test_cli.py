@@ -646,6 +646,7 @@ VERIFY_CHECKS = [
     ("coupler-single-photon-means-moments", 1e-10),
     ("coupler-single-photon-means-fock", 1e-10),
     ("coupler-single-photon-fidelity", 1e-10),
+    ("coupler-coherent-phase-means", 1e-12),
     ("chebyshev-spectrum", 1e-12),
     ("hermite-spectrum", 1e-11),
     ("transfer-single-photon-occupation", 1e-12),
@@ -687,7 +688,7 @@ class TestVerifyCommand:
         code = main(["verify"])
         out = capsys.readouterr().out
         assert code == 0
-        assert out.splitlines()[-1] == "all 30 checks passed"
+        assert out.splitlines()[-1] == "all 31 checks passed"
         assert "photon-conservation" in out
         assert "FAIL" not in out
         checks = verify_report(out)
@@ -695,8 +696,8 @@ class TestVerifyCommand:
         assert [tolerance for _, _, tolerance in checks] == pytest.approx(
             [tolerance for _, tolerance in VERIFY_CHECKS], rel=1e-3, abs=0.0)
 
-    def test_fault_injection_fails_named_check(self, capsys):
-        code = main(["verify", "--inject-fault", "coupling_sign"])
+    def test_fault_injection_fails_named_check(self, capsys, flipped_transfer_coupling):
+        code = main(["verify"])
         out = capsys.readouterr().out
         assert code == 1
         assert "FAIL  transfer-path-entangled-fidelity" in out
@@ -709,6 +710,13 @@ class TestVerifyCommand:
         assert all(status == "PASS" for name, status in outcome.items()
                    if name.startswith(("coupler-", "engine-equivalence-")))
 
+    def test_takes_no_fault_option(self, capsys):
+        # faults are patched in by tests; the command line offers no hook
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "--inject-fault", "coupling_sign"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --inject-fault coupling_sign" in capsys.readouterr().err
+
     def test_writes_nothing_to_stderr(self):
         # a fresh interpreter shows every warning on stderr, as a user sees it
         src = str(Path(latticelight.__file__).resolve().parents[1])
@@ -718,7 +726,7 @@ class TestVerifyCommand:
                               env=dict(os.environ, PYTHONPATH=path))
         assert done.returncode == 0, done.stdout
         assert done.stderr == ""
-        assert done.stdout.splitlines()[-1] == "all 30 checks passed"
+        assert done.stdout.splitlines()[-1] == "all 31 checks passed"
 
     def test_only_verify_loads_the_acceptance_suite(self, tmp_path):
         # spectrum and propagate start without compiling verify.py
