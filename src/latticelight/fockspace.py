@@ -16,6 +16,7 @@ n (lo + hi) / 2 centres all occupied sectors inside the radius R of the top
 one, so one expansion carries them together.  Its coefficients 2 J_k(R z)
 come from the Jacobi-Anger series by FFT, and each z takes the smallest
 degree whose tail bound sum_{k > K} 2 (x / 2)^k / k! at x = R z is below rounding.
+``check_targets`` alone refuses a fidelity target not in ``FIDELITY_TARGETS``.
 """
 
 from __future__ import annotations
@@ -60,6 +61,15 @@ _NORM_DRIFT = 1e-10
 FIDELITY_TARGETS = ("initial", "mirror")
 
 
+def check_targets(targets) -> tuple[str, ...]:
+    """``targets`` as a tuple, refused unless each names one of ``FIDELITY_TARGETS``."""
+    targets = tuple(targets)
+    for name in targets:
+        if name not in FIDELITY_TARGETS:
+            raise ValueError(f"fidelity targets are {FIDELITY_TARGETS}, got {name!r}")
+    return targets
+
+
 class WorkCapError(ValueError):
     """A sweep needs more Chebyshev work than ``_WORK_CAP``; raised before
     anything is allocated."""
@@ -75,12 +85,8 @@ def _slots(spec: LatticeSpec, basis: FockBasis, low: int, top: int):
     for each state y of ``low`` - 1 to ``top`` - 1 photons, with the weight
     g_j sqrt((y_j + 1) (y_(j+1) + 1)) that both directions share; a row's
     hops take its next slots in direction order, and the slots left over
-    read the row itself with weight zero.
+    read the row itself with weight zero.  ``low`` and ``top`` come from ``_occupied_sectors``.
     """
-    if spec.size != basis.num_modes:
-        raise ValueError("lattice and basis have different mode counts")
-    if not 0 <= low <= top <= basis.max_total:
-        raise ValueError(f"sectors {low}..{top} not contained in the basis")
     start, stop = basis.sector(low)[0], basis.sector(top)[1]
     below = slice(basis.sector(max(low - 1, 0))[0], basis.sector(top)[0])
     lowered = basis.occupations[below]
@@ -218,13 +224,11 @@ class FockEvolver:
     def sweep(self, state: FockState, z_grid, pairs=(), targets=()) -> Trace:
         """Means, pair correlations <n_p n_q> and fidelities along a grid.
 
-        ``targets`` names states from ``FIDELITY_TARGETS``; the grid and
-        ``pairs`` pass ``check_sweep``.
+        ``targets`` pass ``check_targets``; the grid and ``pairs`` pass
+        ``check_sweep``.
         """
         z_values, pair_list = self._checked(state, z_grid, pairs)
-        for name in targets:
-            if name not in FIDELITY_TARGETS:
-                raise ValueError(f"fidelity targets are {FIDELITY_TARGETS}, got {name!r}")
+        targets = check_targets(targets)
         conj_targets = np.conj(
             [state.amplitudes if name == "initial" else mirror_state(state).amplitudes
              for name in targets]
@@ -243,7 +247,7 @@ class FockEvolver:
             for column, target in enumerate(conj_targets):
                 overlaps[rows, column] = amplitudes @ target[start:stop]
             del amplitudes, weights  # released before the next block is summed
-        return Trace(z_values, means, g2, pair_list, np.abs(overlaps), tuple(targets))
+        return Trace(z_values, means, g2, pair_list, np.abs(overlaps), targets)
 
 
 class _ChebyshevStep:

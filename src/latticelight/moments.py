@@ -11,7 +11,8 @@ requested modes.
 The correlation <n_p n_q> is computed exactly as written, i.e. including the
 commutator term delta_{p,q} <n_p> rather than its normally-ordered part
 alone.  ``trace_observables`` is the engine's one readout, for a single
-distance as for a whole grid.
+distance as for a whole grid.  ``check_sweep`` alone refuses a pair index
+out of range, for both engines and for the run configs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Spectrum, evolve_modes
+from .spectral import Spectrum, check_distances, evolve_modes
 from .states import MomentSet
 
 __all__ = [
@@ -56,22 +57,22 @@ class Trace:
 def check_sweep(z_grid, pairs, num_modes: int):
     """The validated grid and pairs of a sweep, as both engines accept them.
 
-    The grid must be one-dimensional, finite, non-negative and sorted
-    ascending, and every pair must hold two integer mode indices in
-    [0, num_modes); a bool is not an index.
+    The grid must be one-dimensional, its distances must pass
+    ``spectral.check_distances``, and it must be sorted ascending.  Every
+    pair must hold two integer mode indices in [0, num_modes); a bool is
+    not an index.
     Returns the grid as a float array and the pairs as a tuple of int pairs.
     """
-    z_values = np.asarray(z_grid, dtype=float)
+    z_values = check_distances(z_grid)
     if z_values.ndim != 1:
         raise ValueError("z_grid must be one-dimensional")
-    if not (np.isfinite(z_values) & (z_values >= 0)).all():
-        raise ValueError("propagation distance z must be finite and >= 0")
     if (z_values[1:] < z_values[:-1]).any():
         raise ValueError("z_grid must be sorted ascending")
     pair_list = tuple((p, q) for p, q in pairs)
-    if not all(isinstance(j, (int, np.integer)) and not isinstance(j, bool)
-               and 0 <= j < num_modes for pair in pair_list for j in pair):
-        raise ValueError(f"pair indices out of range for {num_modes} modes")
+    for p, q in pair_list:
+        if not all(isinstance(j, (int, np.integer)) and not isinstance(j, bool)
+                   and 0 <= j < num_modes for j in (p, q)):
+            raise ValueError(f"pair ({p}, {q}) has a mode out of range for {num_modes} modes")
     return z_values, tuple((int(p), int(q)) for p, q in pair_list)
 
 

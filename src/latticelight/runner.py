@@ -4,6 +4,11 @@ the requested engines and render deterministic CSV.
 Numbers are printed with 12 significant digits (round-half-even), so running
 the same configuration twice produces byte-identical output.  Every CSV
 starts with a comment line pinning the 0-based waveguide indexing.
+
+The parser checks types, finiteness and presence, and the CLI's own
+policies ``n_max >= 1``, ``steps >= 2`` and ``start < stop``.  It leaves each
+value rule to the library function that owns it, called before any Fock
+basis is built, and reports its refusal as a ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fockspace import FIDELITY_TARGETS, FockEvolver
+from .fockspace import FockEvolver, check_targets
 from .lattice import (
     LatticeSpec,
     make_binary,
@@ -24,7 +29,7 @@ from .lattice import (
     make_perfect_transfer,
     make_uniform,
 )
-from .moments import NumericalInconsistencyError, Trace, trace_observables
+from .moments import NumericalInconsistencyError, Trace, check_sweep, trace_observables
 from .spectral import eigendecompose
 from .states import (
     FockBasis,
@@ -34,6 +39,9 @@ from .states import (
     build_fock,
     build_path_entangled,
     build_tmsv,
+    check_mode_pair,
+    check_occupations,
+    check_squeezing,
     coherent_moments,
     moments_of,
 )
@@ -67,8 +75,8 @@ class RunConfig:
     spec: LatticeSpec
     state: FockState | MomentSet
     z_values: np.ndarray
-    pairs: list[tuple[int, int]]
-    fidelity_targets: list[str]
+    pairs: tuple[tuple[int, int], ...]
+    fidelity_targets: tuple[str, ...]
     engine: str
 
 
@@ -80,9 +88,8 @@ def load_config(path: str) -> dict:
     except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config file {path}: {err}") from err
     except json.JSONDecodeError as err:
-        raise ConfigError(
-            f"{path}: invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}"
-        ) from err
+        raise ConfigError(f"{path}: invalid JSON at line {err.lineno}, column {err.colno}: "
+                          f"{err.msg}") from err
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return raw
@@ -97,9 +104,7 @@ def parse_lattice(section) -> LatticeSpec:
         if not isinstance(explicit, dict):
             raise ConfigError("lattice.explicit: must be an object")
         omegas = _number_list(explicit.get("omegas"), "lattice.explicit.omegas")
-        couplings = _number_list(
-            explicit.get("couplings"), "lattice.explicit.couplings"
-        )
+        couplings = _number_list(explicit.get("couplings"), "lattice.explicit.couplings")
         try:
             return LatticeSpec(np.array(omegas), np.array(couplings))
         except ValueError as err:
@@ -107,17 +112,15 @@ def parse_lattice(section) -> LatticeSpec:
     family = section.get("family")
     if not isinstance(family, str) or family not in _FAMILY_BUILDERS:
         known = ", ".join(sorted(_FAMILY_BUILDERS))
-        raise ConfigError(
-            f"lattice.family: expected one of {known} (or an 'explicit' block), "
-            f"got {family!r}"
-        )
+        raise ConfigError(f"lattice.family: expected one of {known} (or an 'explicit' "
+                          f"block), got {family!r}")
     builder = _FAMILY_BUILDERS[family]
     kwargs = {}
     for name in inspect.signature(builder).parameters:
         if name not in section:
             raise ConfigError(f"lattice.{name}: required for family '{family}'")
         kwargs[name] = section[name]
-    if not isinstance(kwargs["N"], int) or isinstance(kwargs["N"], bool):
+    if not _is_int(kwargs["N"]):
         raise ConfigError("lattice.N: must be an integer")
     for name, value in kwargs.items():
         if name != "N":
@@ -134,7 +137,7 @@ def parse_config(raw: dict) -> RunConfig:
     N = spec.size
 
     n_max = raw.get("n_max", DEFAULT_N_MAX)
-    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
+    if not _is_int(n_max) or n_max < 1:
         raise ConfigError("n_max: must be a positive integer")
 
     grid = raw.get("z_grid")
@@ -143,46 +146,24 @@ def parse_config(raw: dict) -> RunConfig:
     start = _number(grid.get("start"), "z_grid.start")
     stop = _number(grid.get("stop"), "z_grid.stop")
     steps = grid.get("steps")
-    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 2:
+    if not _is_int(steps) or steps < 2:
         raise ConfigError("z_grid.steps: must be an integer >= 2")
     if not start < stop:
         raise ConfigError("z_grid: start must be strictly below stop")
-    if start < 0:
-        raise ConfigError("z_grid.start: must be non-negative")
-    z_values = np.linspace(start, stop, steps)
 
     for name in ("pairs", "fidelity_targets"):
         if not isinstance(raw.get(name, []), list):
             raise ConfigError(f"{name}: must be a list")
-    pairs = []
     for i, pair in enumerate(raw.get("pairs", [])):
-        if (
-            not isinstance(pair, (list, tuple))
-            or len(pair) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in pair)
-        ):
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(_is_int, pair))):
             raise ConfigError(f"pairs[{i}]: must be a pair of integers")
-        p, q = pair
-        if not (0 <= p < N and 0 <= q < N):
-            raise ConfigError(f"pairs[{i}]: indices out of range for N={N}")
-        pairs.append((p, q))
-
-    targets = []
-    for i, target in enumerate(raw.get("fidelity_targets", [])):
-        if target not in FIDELITY_TARGETS:
-            raise ConfigError(
-                f"fidelity_targets[{i}]: expected 'initial' or 'mirror', got {target!r}"
-            )
-        targets.append(target)
-
     engine = raw.get("engine", "both")
-    if engine not in ENGINES:
-        raise ConfigError(f"engine: expected one of {ENGINES}, got {engine!r}")
-    if targets and engine == "moments":
-        raise ConfigError(
-            "fidelity_targets: fidelities need the Fock engine; "
-            "use engine 'fock' or 'both'"
-        )
+    try:
+        z_values, pairs = check_sweep(np.linspace(start, stop, steps), raw.get("pairs", []), N)
+        targets = check_targets(raw.get("fidelity_targets", []))
+        check_engine(engine, targets)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
 
     state = _build_state(raw.get("state"), N, n_max, engine)
     return RunConfig(spec, state, z_values, pairs, targets, engine)
@@ -229,10 +210,7 @@ def propagate(spec: LatticeSpec, state: FockState | MomentSet, z, pairs=(), targ
     engine runs first, so a sweep over its work cap is refused before any
     work is done.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    if targets and engine == "moments":
-        raise ValueError("fidelities need the Fock engine; use engine 'fock' or 'both'")
+    check_engine(engine, targets)
     if isinstance(state, MomentSet) and engine != "moments":
         raise ValueError("a MomentSet runs on the moments engine only; use engine 'moments'")
     if engine != "moments":
@@ -249,6 +227,15 @@ def propagate(spec: LatticeSpec, state: FockState | MomentSet, z, pairs=(), targ
             f"engines disagree by {worst:.3e} (tolerance {tolerance:.3e})"
         )
     return fock
+
+
+def check_engine(engine: str, targets=()) -> None:
+    """Refuse an engine not in ``ENGINES``, and fidelity targets on the
+    moments engine, which computes no fidelities."""
+    if engine not in ENGINES:
+        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
+    if len(targets) and engine == "moments":
+        raise ValueError("fidelity targets need the Fock engine; use engine 'fock' or 'both'")
 
 
 def engine_gate(first: Trace, second: Trace) -> tuple[float, float]:
@@ -273,26 +260,15 @@ def _build_state(section, N: int, n_max: int, engine: str) -> FockState | Moment
     try:
         if kind == "fock":
             occupation = section.get("occupation")
-            if not isinstance(occupation, list) or not all(
-                isinstance(n, int) and not isinstance(n, bool) and n >= 0
-                for n in occupation
-            ):
-                raise ConfigError(
-                    "state.occupation: must be a list of non-negative integers"
-                )
-            if sum(occupation) > n_max:
-                raise ConfigError(
-                    "state.occupation: total photon number exceeds n_max"
-                )
+            if not (isinstance(occupation, list) and all(map(_is_int, occupation))):
+                raise ConfigError("state.occupation: must be a list of integers")
+            check_occupations(occupation, N, n_max)
             return build_fock(FockBasis(N, n_max), occupation)
         if kind == "coherent":
             raw_alphas = section.get("alphas")
             if not isinstance(raw_alphas, list):
                 raise ConfigError("state.alphas: must be a list of amplitudes")
-            alphas = [
-                _complex_number(a, f"state.alphas[{i}]")
-                for i, a in enumerate(raw_alphas)
-            ]
+            alphas = [_complex_number(a, f"state.alphas[{i}]") for i, a in enumerate(raw_alphas)]
             if len(alphas) != N:
                 raise ConfigError("state: need one coherent amplitude per mode")
             if engine == "moments":
@@ -304,30 +280,25 @@ def _build_state(section, N: int, n_max: int, engine: str) -> FockState | Moment
         if kind == "tmsv":
             mode_a, mode_b = _mode_pair(section, N)
             r = _number(section.get("r"), "state.r")
-            if r < 0:
-                raise ConfigError("state.r: must be non-negative")
+            check_squeezing(r)
             return build_tmsv(FockBasis(N, n_max), mode_a, mode_b, r)
     except ConfigError:
         raise
     except ValueError as err:
         raise ConfigError(f"state: {err}") from err
-    raise ConfigError(
-        f"state.kind: expected fock, coherent, path_entangled or tmsv, got {kind!r}"
-    )
+    raise ConfigError(f"state.kind: expected fock, coherent, path_entangled or tmsv, got {kind!r}")
 
 
 def _mode_pair(section, N: int) -> tuple[int, int]:
-    modes = []
     for name in ("mode_a", "mode_b"):
-        value = section.get(name)
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not _is_int(section.get(name)):
             raise ConfigError(f"state.{name}: must be an integer mode index")
-        if not 0 <= value < N:
-            raise ConfigError(f"state.{name}: out of range for N={N}")
-        modes.append(value)
-    if modes[0] == modes[1]:
-        raise ConfigError("state: mode_a and mode_b must differ")
-    return modes[0], modes[1]
+    check_mode_pair(N, section["mode_a"], section["mode_b"])
+    return section["mode_a"], section["mode_b"]
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_number(value) -> bool:

@@ -3,9 +3,10 @@ single-excitation propagator U(z) = V^T exp(-i Lambda z) V.
 
 ``evolve_modes`` is the one place U(z) is applied: it evolves mode vectors
 in the eigenbasis, where a mode only gains a phase, and never forms U.  The
-moments engine and ``verify``'s unitarity checks both call it.  The coupling
-matrix of a nearest-neighbor chain is a real symmetric Jacobi matrix.  Its
-eigenvectors are orthogonal-polynomial values,
+moments engine and ``verify``'s unitarity checks both call it.
+``check_distances`` alone refuses a distance that is not finite and >= 0.
+The coupling matrix of a nearest-neighbor chain is a real symmetric Jacobi
+matrix.  Its eigenvectors are orthogonal-polynomial values,
 v_k(lambda) = v_0(lambda) P_k(lambda), which is what gives the paper's
 families their closed-form propagators.  The eigenpairs come from LAPACK's
 symmetric solver (``numpy.linalg.eigh``), which scales the matrix internally,
@@ -95,6 +96,14 @@ def eigendecompose(spec: LatticeSpec) -> Spectrum:
     return Spectrum(eigenvalues[order], vectors[order])
 
 
+def check_distances(z_values) -> np.ndarray:
+    """``z_values`` as a float array, refused unless every distance is finite and >= 0."""
+    z_values = np.asarray(z_values, dtype=float)
+    if not np.all(np.isfinite(z_values) & (z_values >= 0)):
+        raise ValueError("propagation distance z must be finite and >= 0")
+    return z_values
+
+
 def evolve_modes(spectrum: Spectrum, vectors, z_values, columns=slice(None)) -> np.ndarray:
     """(U(z) y)_p for every distance z, row y of ``vectors`` and p in ``columns``.
 
@@ -102,9 +111,7 @@ def evolve_modes(spectrum: Spectrum, vectors, z_values, columns=slice(None)) -> 
     lambda z) * V y), and U itself is never formed.  Returns a [Z, rows,
     columns] array; ``vectors = np.eye(N)`` gives U(z)^T at each distance.
     """
-    z_values = np.asarray(z_values, dtype=float)
-    if not np.all(np.isfinite(z_values) & (z_values >= 0)):
-        raise ValueError("propagation distance z must be finite and >= 0")
+    z_values = check_distances(z_values)
     V = spectrum.eigenvectors
     phases = np.exp(-1j * np.multiply.outer(z_values, spectrum.eigenvalues))
     spread = phases[:, None, :] * (vectors @ V.T)

@@ -4,7 +4,9 @@ propagation engines: truncated Fock amplitude vectors and exact field moments.
 The Fock basis keeps every occupation vector with total photon number up to
 ``max_total``, grouped by total.  Truncated states record the probability
 mass they discarded (``tail_mass``) and are renormalized, so every state has
-unit norm while the truncation error stays visible to callers.
+unit norm while the truncation error stays visible to callers.  The run
+configs call ``check_occupations``, ``check_mode_pair`` and
+``check_squeezing``, each the one owner of its rule, before any basis exists.
 """
 
 from __future__ import annotations
@@ -107,16 +109,8 @@ class FockBasis:
 
     def rank(self, occupations) -> np.ndarray:
         """Basis indices of occupation vectors given along the last axis."""
-        occ = np.asarray(occupations)
+        occ = check_occupations(occupations, self.num_modes, self.max_total)
         totals = occ.sum(axis=-1)
-        # entries of a non-integer type are refused, not truncated
-        if occ.dtype.kind not in "iu" or occ.shape[-1:] != (self.num_modes,) or (
-            occ.size and (occ.min() < 0 or totals.max() > self.max_total)
-        ):
-            raise ValueError(
-                f"occupations need {self.num_modes} non-negative integer entries "
-                f"with total at most {self.max_total}"
-            )
         # photons held by the modes after j, for j = 0 .. N - 2
         after = totals[..., None] - np.cumsum(occ[..., :-1], axis=-1)
         within = self._preceding[np.arange(self.num_modes - 1), after].sum(axis=-1)
@@ -127,6 +121,19 @@ class FockBasis:
         if not 0 <= total <= self.max_total:
             raise ValueError(f"no sector with {total} photons in this basis")
         return int(self._offsets[total]), int(self._offsets[total + 1])
+
+
+def check_occupations(occupations, num_modes: int, max_total: int):
+    """Occupation vectors along the last axis as an array, refused unless each
+    holds ``num_modes`` entries of an integer type, none negative, with total
+    at most ``max_total``.  Entries are bounded before they are summed, so no
+    total wraps around int64 into range."""
+    occ = np.asarray(occupations)
+    if occ.dtype.kind not in "iu" or occ.shape[-1:] != (num_modes,) or occ.size and not (
+            0 <= occ.min() <= occ.max() <= max_total and occ.sum(axis=-1).max() <= max_total):
+        raise ValueError(f"occupations need {num_modes} non-negative integer entries "
+                         f"with total at most {max_total}")
+    return occ
 
 
 def _compositions(offsets: np.ndarray, preceding: np.ndarray) -> np.ndarray:
@@ -298,10 +305,9 @@ def coherent_moments(alphas, max_total: int) -> MomentSet:
 
 def build_path_entangled(basis: FockBasis, mode_a: int, mode_b: int) -> FockState:
     """Single photon shared between two modes, (|1_a> + |1_b>) / sqrt(2)."""
-    _check_mode_pair(basis, mode_a, mode_b)
-    if basis.max_total < 1:
-        raise ValueError("basis holds no one-photon sector")
+    check_mode_pair(basis.num_modes, mode_a, mode_b)
     amps = np.zeros(basis.size, dtype=complex)
+    # a basis without the one-photon sector is refused by ``rank``
     amps[basis.rank(np.eye(basis.num_modes, dtype=np.int64)[[mode_a, mode_b]])] = 2**-0.5
     return FockState(basis, amps, tail_mass=0.0)
 
@@ -314,9 +320,8 @@ def build_tmsv(basis: FockBasis, mode_a: int, mode_b: int, r: float) -> FockStat
     cancels, and would overflow for large r); the discarded geometric tail is
     recorded as ``tail_mass``, with a TruncationWarning above 1e-8.
     """
-    _check_mode_pair(basis, mode_a, mode_b)
-    if not (math.isfinite(r) and r >= 0):
-        raise ValueError("squeezing parameter r must be finite and non-negative")
+    check_mode_pair(basis.num_modes, mode_a, mode_b)
+    check_squeezing(r)
     amps = np.zeros(basis.size, dtype=complex)
     tanh_r = math.tanh(r)
     pairs = np.arange(basis.max_total // 2 + 1)
@@ -395,14 +400,12 @@ def analytic_moments_tmsv(r: float, mode_a: int, mode_b: int, N: int) -> MomentS
     never touches a truncated basis, which makes it an independent
     reference for ``moments_of``.
     """
+    check_squeezing(r)
     # the largest moment, 2 hypot(nbar, sinh r cosh r) ~ exp(2 r) / sqrt(2),
     # overflows a float from r = 355.06
-    if not (math.isfinite(r) and 0 <= r <= 355):
-        raise ValueError(f"squeezing parameter r must lie in [0, 355], got {r}")
-    if N < 2:
-        raise ValueError("need at least two modes")
-    if not (0 <= mode_a < N and 0 <= mode_b < N) or mode_a == mode_b:
-        raise ValueError("mode_a and mode_b must be distinct in-range modes")
+    if r > 355:
+        raise ValueError(f"squeezing parameter r = {r} overflows the moments (r <= 355)")
+    check_mode_pair(N, mode_a, mode_b)
     nbar = math.sinh(r) ** 2
     unit = np.eye(N)
     pair = 2.0 * math.hypot(nbar, math.sinh(r) * math.cosh(r))
@@ -482,9 +485,16 @@ def _normalized(basis, amps, tail) -> FockState:
     return FockState(basis, amps / math.sqrt(kept), tail_mass=tail)
 
 
-def _check_mode_pair(basis, mode_a, mode_b):
+def check_mode_pair(num_modes: int, mode_a: int, mode_b: int) -> None:
+    """Refuse a pair of modes unless both lie in [0, num_modes) and differ."""
     for mode in (mode_a, mode_b):
-        if not 0 <= mode < basis.num_modes:
-            raise ValueError(f"mode {mode} out of range")
+        if not 0 <= mode < num_modes:
+            raise ValueError(f"mode {mode} out of range for {num_modes} modes")
     if mode_a == mode_b:
         raise ValueError("the two modes must be distinct")
+
+
+def check_squeezing(r: float) -> None:
+    """Refuse a squeezing parameter unless it is finite and r >= 0."""
+    if not (math.isfinite(r) and r >= 0):
+        raise ValueError("squeezing parameter r must be finite and non-negative")

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import latticelight
-from latticelight import TruncationWarning, make_uniform, runner
+from latticelight import TruncationWarning, make_uniform, runner, states
 from latticelight.cli import main
 from latticelight.runner import (
     ConfigError,
@@ -264,6 +264,61 @@ class TestUnindexableBasis:
         assert code == 2
         assert ("config error: state: 1000 modes with up to 12 photons span 2.25e27 "
                 "basis states") in capsys.readouterr().err
+        assert not out_path.exists()
+
+
+OCCUPATIONS_RULE = "occupations need 2 non-negative integer entries with total at most 4"
+
+
+class TestLibraryRulesRefuseBeforeAnyBasis:
+    """Each value rule of a config is raised by the one library function that
+    owns it, which the parser calls before any Fock basis is built: the run
+    exits 2 with a ``config error:`` line in the owner's words."""
+
+    @pytest.mark.parametrize("mutation,words", [
+        pytest.param(lambda c: c["z_grid"].update(start=-1.0),
+                     "propagation distance z must be finite and >= 0", id="distance"),
+        pytest.param(lambda c: c.update(pairs=[[0, 1], [0, 5]]),
+                     "pair (0, 5) has a mode out of range for 2 modes", id="pair"),
+        pytest.param(lambda c: c.update(fidelity_targets=["initial", "final"]),
+                     "fidelity targets are ('initial', 'mirror'), got 'final'", id="target"),
+        pytest.param(lambda c: c.update(engine="fastest"),
+                     "engine must be one of ('moments', 'fock', 'both'), got 'fastest'",
+                     id="engine"),
+        pytest.param(lambda c: c.update(engine="moments"),
+                     "fidelity targets need the Fock engine", id="fidelity-engine"),
+        pytest.param(lambda c: c.update(state={"kind": "path_entangled", "mode_a": 0,
+                                               "mode_b": 2}),
+                     "state: mode 2 out of range for 2 modes", id="mode-range"),
+        pytest.param(lambda c: c.update(state={"kind": "tmsv", "mode_a": 1, "mode_b": 1,
+                                               "r": 0.5}),
+                     "state: the two modes must be distinct", id="mode-distinct"),
+        pytest.param(lambda c: c["state"].update(occupation=[-1, 0]),
+                     OCCUPATIONS_RULE, id="occupation-negative"),
+        pytest.param(lambda c: c["state"].update(occupation=[3, 2]),
+                     OCCUPATIONS_RULE, id="occupation-total"),
+        pytest.param(lambda c: c["state"].update(occupation=[1, 0, 0]),
+                     OCCUPATIONS_RULE, id="occupation-length"),
+        # the int64 sum of these entries wraps around to -2**63
+        pytest.param(lambda c: c["state"].update(occupation=[2**63 - 1, 1]),
+                     OCCUPATIONS_RULE, id="occupation-wrap"),
+        pytest.param(lambda c: c.update(state={"kind": "tmsv", "mode_a": 0, "mode_b": 1,
+                                               "r": -0.5}),
+                     "state: squeezing parameter r must be finite and non-negative",
+                     id="squeezing"),
+    ])
+    def test_exit_2_in_the_owners_words(self, capsys, tmp_path, monkeypatch, mutation, words):
+        def refuse(self, *args):
+            raise AssertionError("FockBasis built")
+
+        monkeypatch.setattr(states.FockBasis, "__init__", refuse)
+        cfg = small_coupler_config()
+        mutation(cfg)
+        out_path = tmp_path / "trace.csv"
+        argv = ["propagate", "--config", write_config(tmp_path, cfg), "--out", str(out_path)]
+        assert main(argv) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: ") and words in line
         assert not out_path.exists()
 
 
@@ -647,6 +702,7 @@ VERIFY_CHECKS = [
     ("coupler-single-photon-means-fock", 1e-10),
     ("coupler-single-photon-fidelity", 1e-10),
     ("coupler-coherent-phase-means", 1e-12),
+    ("coherent-detuned-return-fidelity", 1e-12),
     ("chebyshev-spectrum", 1e-12),
     ("hermite-spectrum", 1e-11),
     ("transfer-single-photon-occupation", 1e-12),
@@ -688,7 +744,7 @@ class TestVerifyCommand:
         code = main(["verify"])
         out = capsys.readouterr().out
         assert code == 0
-        assert out.splitlines()[-1] == "all 31 checks passed"
+        assert out.splitlines()[-1] == "all 32 checks passed"
         assert "photon-conservation" in out
         assert "FAIL" not in out
         checks = verify_report(out)
@@ -726,7 +782,7 @@ class TestVerifyCommand:
                               env=dict(os.environ, PYTHONPATH=path))
         assert done.returncode == 0, done.stdout
         assert done.stderr == ""
-        assert done.stdout.splitlines()[-1] == "all 31 checks passed"
+        assert done.stdout.splitlines()[-1] == "all 32 checks passed"
 
     def test_only_verify_loads_the_acceptance_suite(self, tmp_path):
         # spectrum and propagate start without compiling verify.py

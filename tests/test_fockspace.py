@@ -281,13 +281,6 @@ class TestSectorHamiltonian:
         assert gap <= tolerance
         assert np.allclose(traces[1].means.sum(axis=1), 12.0, atol=1e-10, rtol=0)
 
-    def test_sector_out_of_basis(self, coupler, basis2, basis4):
-        for low, top in ((13, 13), (0, 13), (3, 2), (-1, 0)):
-            with pytest.raises(ValueError):
-                fockspace._slots(coupler, basis2, low, top)
-        with pytest.raises(ValueError, match="different mode counts"):
-            fockspace._slots(coupler, basis4, 0, 1)
-
 
 class TestEvolve:
     def test_vacuum_is_stationary(self, coupler, basis2):

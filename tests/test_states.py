@@ -123,7 +123,9 @@ class TestFockBasis:
         "occupation",
         [(1, 0), (1, 0, 0, 0), (2, -1, 0), (0, 0, 5), (3, 1, 1),
          # entries of a non-integer type are refused, not truncated
-         (0.5, 0.5, 0), (1.9, 0, 0), (1.0, 0.0, 2.0), (1, math.nan, 0), (math.inf, 0, 0)],
+         (0.5, 0.5, 0), (1.9, 0, 0), (1.0, 0.0, 2.0), (1, math.nan, 0), (math.inf, 0, 0),
+         # int64 entries whose total wraps around to a negative number
+         (2**63 - 1, 1, 0), (2**62, 2**62, 2**62)],
     )
     def test_index_of_rejects_occupations_outside_the_basis(self, occupation):
         # build_fock and rank, the two ways to place an occupation vector
@@ -271,6 +273,10 @@ class TestBuildPathEntangled:
             build_path_entangled(basis2, 1, 1)
         with pytest.raises(ValueError):
             build_path_entangled(basis2, 0, 5)
+
+    def test_rejects_a_basis_without_one_photon(self):
+        with pytest.raises(ValueError, match="total at most 0"):
+            build_path_entangled(FockBasis(2, 0), 0, 1)
 
 
 class TestBuildTmsv:
