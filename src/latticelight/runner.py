@@ -88,8 +88,9 @@ def load_config(path: str) -> dict:
     except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config file {path}: {err}") from err
     except json.JSONDecodeError as err:
-        raise ConfigError(f"{path}: invalid JSON at line {err.lineno}, column {err.colno}: "
-                          f"{err.msg}") from err
+        raise ConfigError(
+            f"{path}: invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}"
+        ) from err
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return raw
@@ -104,7 +105,9 @@ def parse_lattice(section) -> LatticeSpec:
         if not isinstance(explicit, dict):
             raise ConfigError("lattice.explicit: must be an object")
         omegas = _number_list(explicit.get("omegas"), "lattice.explicit.omegas")
-        couplings = _number_list(explicit.get("couplings"), "lattice.explicit.couplings")
+        couplings = _number_list(
+            explicit.get("couplings"), "lattice.explicit.couplings"
+        )
         try:
             return LatticeSpec(np.array(omegas), np.array(couplings))
         except ValueError as err:
@@ -112,8 +115,10 @@ def parse_lattice(section) -> LatticeSpec:
     family = section.get("family")
     if not isinstance(family, str) or family not in _FAMILY_BUILDERS:
         known = ", ".join(sorted(_FAMILY_BUILDERS))
-        raise ConfigError(f"lattice.family: expected one of {known} (or an 'explicit' "
-                          f"block), got {family!r}")
+        raise ConfigError(
+            f"lattice.family: expected one of {known} (or an 'explicit' block), "
+            f"got {family!r}"
+        )
     builder = _FAMILY_BUILDERS[family]
     kwargs = {}
     for name in inspect.signature(builder).parameters:
@@ -150,6 +155,7 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("z_grid.steps: must be an integer >= 2")
     if not start < stop:
         raise ConfigError("z_grid: start must be strictly below stop")
+    z_values, _ = _owned("z_grid.start", check_sweep, np.linspace(start, stop, steps), (), N)
 
     for name in ("pairs", "fidelity_targets"):
         if not isinstance(raw.get(name, []), list):
@@ -157,13 +163,10 @@ def parse_config(raw: dict) -> RunConfig:
     for i, pair in enumerate(raw.get("pairs", [])):
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(_is_int, pair))):
             raise ConfigError(f"pairs[{i}]: must be a pair of integers")
+    _, pairs = _owned("pairs", check_sweep, (), raw.get("pairs", []), N)
+    targets = _owned("fidelity_targets", check_targets, raw.get("fidelity_targets", []))
     engine = raw.get("engine", "both")
-    try:
-        z_values, pairs = check_sweep(np.linspace(start, stop, steps), raw.get("pairs", []), N)
-        targets = check_targets(raw.get("fidelity_targets", []))
-        check_engine(engine, targets)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    _owned("engine", check_engine, engine, targets)
 
     state = _build_state(raw.get("state"), N, n_max, engine)
     return RunConfig(spec, state, z_values, pairs, targets, engine)
@@ -262,13 +265,16 @@ def _build_state(section, N: int, n_max: int, engine: str) -> FockState | Moment
             occupation = section.get("occupation")
             if not (isinstance(occupation, list) and all(map(_is_int, occupation))):
                 raise ConfigError("state.occupation: must be a list of integers")
-            check_occupations(occupation, N, n_max)
+            _owned("state.occupation", check_occupations, occupation, N, n_max)
             return build_fock(FockBasis(N, n_max), occupation)
         if kind == "coherent":
             raw_alphas = section.get("alphas")
             if not isinstance(raw_alphas, list):
                 raise ConfigError("state.alphas: must be a list of amplitudes")
-            alphas = [_complex_number(a, f"state.alphas[{i}]") for i, a in enumerate(raw_alphas)]
+            alphas = [
+                _complex_number(a, f"state.alphas[{i}]")
+                for i, a in enumerate(raw_alphas)
+            ]
             if len(alphas) != N:
                 raise ConfigError("state: need one coherent amplitude per mode")
             if engine == "moments":
@@ -280,13 +286,15 @@ def _build_state(section, N: int, n_max: int, engine: str) -> FockState | Moment
         if kind == "tmsv":
             mode_a, mode_b = _mode_pair(section, N)
             r = _number(section.get("r"), "state.r")
-            check_squeezing(r)
+            _owned("state.r", check_squeezing, r)
             return build_tmsv(FockBasis(N, n_max), mode_a, mode_b, r)
     except ConfigError:
         raise
     except ValueError as err:
         raise ConfigError(f"state: {err}") from err
-    raise ConfigError(f"state.kind: expected fock, coherent, path_entangled or tmsv, got {kind!r}")
+    raise ConfigError(
+        f"state.kind: expected fock, coherent, path_entangled or tmsv, got {kind!r}"
+    )
 
 
 def _mode_pair(section, N: int) -> tuple[int, int]:
@@ -295,6 +303,15 @@ def _mode_pair(section, N: int) -> tuple[int, int]:
             raise ConfigError(f"state.{name}: must be an integer mode index")
     check_mode_pair(N, section["mode_a"], section["mode_b"])
     return section["mode_a"], section["mode_b"]
+
+
+def _owned(field: str, check, *args):
+    """``check(*args)``, a library rule's owner; its refusal is a ConfigError
+    on ``field``."""
+    try:
+        return check(*args)
+    except ValueError as err:
+        raise ConfigError(f"{field}: {err}") from err
 
 
 def _is_int(value) -> bool:

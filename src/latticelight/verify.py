@@ -83,10 +83,11 @@ class _Failed(Trace):
 
 
 def _result(name: str, error: float, tolerance: float, *runs: Trace, note="") -> CheckResult:
-    """The check's outcome; the errors of the ``runs`` it read that failed are its note."""
+    """The check's outcome.  It fails if any of the ``runs`` it read failed,
+    whatever its ``error`` kept of their NaN, and their errors are its note."""
     errors = "; ".join(run.error for run in runs if isinstance(run, _Failed))
-    return CheckResult(name, float(error), float(tolerance), float(error) <= tolerance,
-                       errors or note)
+    passed = not errors and float(error) <= tolerance
+    return CheckResult(name, float(error), float(tolerance), passed, errors or note)
 
 
 def _run(spec: LatticeSpec, state, z_values, pairs=(), targets=(), engine="fock") -> Trace:
@@ -137,12 +138,20 @@ def run_acceptance() -> list[CheckResult]:
 
 
 def format_report(results: list[CheckResult]) -> str:
-    lines = [f"{'PASS' if res.passed else 'FAIL'}  {res.name}: error={res.error:.3e} "
-             f"tolerance={res.tolerance:.3e}" + (f"  ({res.note})" if res.note else "")
-             for res in results]
-    failed = sum(not res.passed for res in results)
-    lines.append(f"{failed} of {len(results)} checks FAILED" if failed
-                 else f"all {len(results)} checks passed")
+    lines = []
+    for res in results:
+        status = "PASS" if res.passed else "FAIL"
+        line = (
+            f"{status}  {res.name}: error={res.error:.3e} tolerance={res.tolerance:.3e}"
+        )
+        if res.note:
+            line += f"  ({res.note})"
+        lines.append(line)
+    failed = sum(1 for res in results if not res.passed)
+    if failed:
+        lines.append(f"{failed} of {len(results)} checks FAILED")
+    else:
+        lines.append(f"all {len(results)} checks passed")
     return "\n".join(lines)
 
 
@@ -264,28 +273,47 @@ def check_perfect_transfer(figures) -> list[CheckResult]:
 
 
 def check_vacuum_obstruction(figures) -> list[CheckResult]:
-    """States with a vacuum component never transfer faithfully.
+    """States with a vacuum component never transfer faithfully."""
+    results = []
 
-    Balanced coupler, coherent amplitude 1: the return fidelity at z = pi is
-    exp(-2), and the transfer fidelity stays far from 1 at every z.  The
-    two-mode squeezed vacuum on the mirror-transfer chain: transfer stays
-    imperfect while the mean-photon trace matches the path-entangled one."""
+    # balanced coupler, coherent amplitude 1: the return fidelity at z = pi
+    # is exp(-2) and the transfer fidelity stays far from 1 at every z.
     coherent, _, trace = figures["coupler-coherent"]
     return_fid = _fidelity(trace, "initial")[_row(trace, math.pi)]
+    tol = max(1e-6, 10.0 * coherent.tail_mass)
+    results.append(
+        _result("coherent-return-fidelity", abs(return_fid - math.exp(-2.0)), tol, trace)
+    )
+    results.append(
+        _result(
+            "coherent-transfer-ceiling",
+            np.max(_fidelity(trace, "mirror")),
+            1.0 - 1e-3,
+            trace,
+            note="largest transfer fidelity over the sweep; must stay below 1",
+        )
+    )
+
+    # two-mode squeezed vacuum on the mirror-transfer chain: transfer stays
+    # imperfect while the mean-photon trace matches the path-entangled one.
     squeezed, _, squeezed_trace = figures["transfer-tmsv"]
     _, _, entangled_trace = figures["transfer-path"]
+    results.append(
+        _result(
+            "tmsv-transfer-ceiling",
+            _fidelity(squeezed_trace, "mirror")[_row(squeezed_trace, 1.0)],
+            1.0 - 1e-3,
+            squeezed_trace,
+            note="mirror fidelity at z_t; must stay below 1",
+        )
+    )
+
     trace_gap = np.max(np.abs(squeezed_trace.means - entangled_trace.means))
-    return [
-        _result("coherent-return-fidelity", abs(return_fid - math.exp(-2.0)),
-                max(1e-6, 10.0 * coherent.tail_mass), trace),
-        _result("coherent-transfer-ceiling", np.max(_fidelity(trace, "mirror")), 1.0 - 1e-3,
-                trace, note="largest transfer fidelity over the sweep; must stay below 1"),
-        _result("tmsv-transfer-ceiling",
-                _fidelity(squeezed_trace, "mirror")[_row(squeezed_trace, 1.0)], 1.0 - 1e-3,
-                squeezed_trace, note="mirror fidelity at z_t; must stay below 1"),
-        _result("tmsv-vs-path-entangled-means", trace_gap, max(1e-8, 10.0 * squeezed.tail_mass),
-                squeezed_trace, entangled_trace),
-    ]
+    tol = max(1e-8, 10.0 * squeezed.tail_mass)
+    results.append(
+        _result("tmsv-vs-path-entangled-means", trace_gap, tol, squeezed_trace, entangled_trace)
+    )
+    return results
 
 
 def check_engine_equivalence(figures) -> list[CheckResult]:
@@ -297,11 +325,17 @@ def check_engine_equivalence(figures) -> list[CheckResult]:
 def check_conservation_unitarity() -> list[CheckResult]:
     """Orthogonality, residuals, unitarity and conservation on random chains."""
     rng = np.random.default_rng(20260808)
-    orth_err = resid_err = unit_err = conserve_err = group_err = 0.0
+    orth_err = 0.0
+    resid_err = 0.0
+    unit_err = 0.0
+    conserve_err = 0.0
     conserve_note = ""
+    group_err = 0.0
     for _ in range(200):
         N = int(rng.integers(2, 17))
-        spec = LatticeSpec(rng.uniform(-2.0, 2.0, size=N), rng.uniform(0.1, 2.0, size=N - 1))
+        spec = LatticeSpec(
+            rng.uniform(-2.0, 2.0, size=N), rng.uniform(0.1, 2.0, size=N - 1)
+        )
         matrix = jacobi_matrix(spec)
         scale = max(1.0, float(np.max(np.abs(matrix))))
         spectrum = eigendecompose(spec)
@@ -313,7 +347,9 @@ def check_conservation_unitarity() -> list[CheckResult]:
         z1, z2 = rng.uniform(0.0, 10.0, size=2)
         # the engine's propagator on the unit vectors: U(z)^T, transposed back
         U1, U2, U12 = evolve_modes(spectrum, np.eye(N), [z1, z2, z1 + z2]).transpose(0, 2, 1)
-        unit_err = max(unit_err, float(np.max(np.abs(U1 @ U1.conj().T - np.eye(N)))))
+        unit_err = max(
+            unit_err, float(np.max(np.abs(U1 @ U1.conj().T - np.eye(N))))
+        )
         group_err = max(group_err, float(np.max(np.abs(U1 @ U2 - U12))))
 
         # random second moments root^dag root of unit trace, as mode vectors

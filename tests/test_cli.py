@@ -267,26 +267,30 @@ class TestUnindexableBasis:
         assert not out_path.exists()
 
 
-OCCUPATIONS_RULE = "occupations need 2 non-negative integer entries with total at most 4"
+OCCUPATIONS_RULE = ("state.occupation: occupations need 2 non-negative integer entries "
+                    "with total at most 4")
 
 
 class TestLibraryRulesRefuseBeforeAnyBasis:
     """Each value rule of a config is raised by the one library function that
     owns it, which the parser calls before any Fock basis is built: the run
-    exits 2 with a ``config error:`` line in the owner's words."""
+    exits 2 with a ``config error:`` line that names the field, in the
+    owner's words."""
 
     @pytest.mark.parametrize("mutation,words", [
         pytest.param(lambda c: c["z_grid"].update(start=-1.0),
-                     "propagation distance z must be finite and >= 0", id="distance"),
+                     "z_grid.start: propagation distance z must be finite and >= 0",
+                     id="distance"),
         pytest.param(lambda c: c.update(pairs=[[0, 1], [0, 5]]),
-                     "pair (0, 5) has a mode out of range for 2 modes", id="pair"),
+                     "pairs: pair (0, 5) has a mode out of range for 2 modes", id="pair"),
         pytest.param(lambda c: c.update(fidelity_targets=["initial", "final"]),
-                     "fidelity targets are ('initial', 'mirror'), got 'final'", id="target"),
+                     "fidelity_targets: fidelity targets are ('initial', 'mirror'), got 'final'",
+                     id="target"),
         pytest.param(lambda c: c.update(engine="fastest"),
-                     "engine must be one of ('moments', 'fock', 'both'), got 'fastest'",
+                     "engine: engine must be one of ('moments', 'fock', 'both'), got 'fastest'",
                      id="engine"),
         pytest.param(lambda c: c.update(engine="moments"),
-                     "fidelity targets need the Fock engine", id="fidelity-engine"),
+                     "engine: fidelity targets need the Fock engine", id="fidelity-engine"),
         pytest.param(lambda c: c.update(state={"kind": "path_entangled", "mode_a": 0,
                                                "mode_b": 2}),
                      "state: mode 2 out of range for 2 modes", id="mode-range"),
@@ -304,7 +308,7 @@ class TestLibraryRulesRefuseBeforeAnyBasis:
                      OCCUPATIONS_RULE, id="occupation-wrap"),
         pytest.param(lambda c: c.update(state={"kind": "tmsv", "mode_a": 0, "mode_b": 1,
                                                "r": -0.5}),
-                     "state: squeezing parameter r must be finite and non-negative",
+                     "state.r: squeezing parameter r must be finite and non-negative",
                      id="squeezing"),
     ])
     def test_exit_2_in_the_owners_words(self, capsys, tmp_path, monkeypatch, mutation, words):

@@ -377,6 +377,25 @@ def test_raising_run_is_reported_as_its_error(fock_detuning_sign):
     assert result.note.startswith("fock engine: evolved norm drifted by")
 
 
+def test_a_raising_run_read_after_a_sound_one_fails_its_check(monkeypatch):
+    # three checks reduce several runs with max(), which keeps a sound first
+    # run's error over a later NaN; the failed run must fail the check anyway
+    propagate = verify.propagate
+    graded = lattice.make_glauber_fock(4, 0.0, 1.0)
+
+    def later_run_raises(spec, state, z, pairs=(), targets=(), engine="both"):
+        if (spec is verify._COUPLER and engine == "fock"
+                or np.array_equal(spec.couplings, graded.couplings)):
+            raise moments.NumericalInconsistencyError("injected")
+        return propagate(spec, state, z, pairs, targets, engine)
+
+    monkeypatch.setattr(verify, "propagate", later_run_raises)
+    failed = [res for res in run_acceptance() if not res.passed]
+    assert [res.name for res in failed] == [
+        "coupler-coherent-phase-means", "tmsv-zero-distance-correlation", "vacuum-stationarity"]
+    assert [res.note for res in failed] == ["fock engine: injected"] * 3
+
+
 def test_every_check_is_failed_by_a_fault_or_found_unable_to_fail():
     failed = {name for expected in MATRIX.values() for name in expected}
     names = [res.name for res in run_acceptance()]
