@@ -284,7 +284,7 @@ class _ChebyshevStep:
     def __call__(self, vector: np.ndarray, taus: np.ndarray) -> np.ndarray:
         """Amplitudes exp(-i H tau) vector, one row per entry of ``taus``."""
         x = self._radius * taus
-        degrees = np.broadcast_to(_degree(x), x.shape)
+        degrees = _degree(x)
         coefficients = _bessel_coefficients(x, int(degrees[-1]))
         terms = coefficients.shape[1]
         coefficients[np.arange(terms) > degrees[:, None]] = 0.0
@@ -346,12 +346,12 @@ def _plan(z_values: np.ndarray, radius: float, dim: int, slots: int):
         # steps of the longest span up to one span short of the next row
         bridges = max(0, math.ceil((z_values[first] - anchor) / reach) - 1)
         if bridges:
-            products += bridges * float(np.searchsorted(_REACH, radius * reach))
+            products += bridges * float(_degree(radius * reach))
             anchor += bridges * reach
         stop = max(first + 1, min(first + rows_cap,
                                   int(np.searchsorted(z_values, anchor + reach, side="right"))))
         distances = z_values[first:stop] - anchor
-        degrees = np.searchsorted(_REACH, radius * distances)  # as _degree gives them
+        degrees = _degree(radius * distances)
         rows = stop - first
         if degrees[-1]:
             cost = degrees * product_s + np.cumsum(degrees + 1) * row_s
@@ -359,8 +359,7 @@ def _plan(z_values: np.ndarray, radius: float, dim: int, slots: int):
             rows = 1 + int(moved[np.argmin(cost[moved] / distances[moved])])
             if first + rows < stop == z_values.size:
                 # the last rows join this block if that saves a product
-                rest = np.searchsorted(_REACH, radius * (z_values[first + rows:]
-                                                         - z_values[first + rows - 1]))
+                rest = _degree(radius * (z_values[first + rows:] - z_values[first + rows - 1]))
                 alone = (rest[-1] - 1) * product_s + np.sum(rest + 1) * row_s
                 if cost[-1] - cost[rows - 1] <= alone:
                     rows = stop - first

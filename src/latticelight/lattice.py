@@ -71,16 +71,14 @@ class LatticeSpec:
 def make_uniform(N: int, omega: float, g: float) -> LatticeSpec:
     """Chain with identical detunings and identical couplings."""
     _check_size(N)
-    if g == 0:
-        raise ValueError("coupling g must be nonzero")
+    _check_coupling(g)
     return LatticeSpec(np.full(N, float(omega)), np.full(N - 1, float(g)))
 
 
 def make_glauber_fock(N: int, omega: float, g: float) -> LatticeSpec:
     """Chain with identical detunings and couplings g * sqrt(j + 1)."""
     _check_size(N)
-    if g == 0:
-        raise ValueError("coupling g must be nonzero")
+    _check_coupling(g)
     couplings = g * np.sqrt(np.arange(1, N, dtype=float))
     return LatticeSpec(np.full(N, float(omega)), couplings)
 
@@ -122,5 +120,18 @@ def make_jacobi_semi_infinite(N: int, omega: float) -> LatticeSpec:
 
 
 def _check_size(N: int) -> None:
+    """Refuse a family size unless N is an integer >= 2.
+
+    ``LatticeSpec`` also refuses fewer than two waveguides, but it sees the
+    arrays once they are built; this rule reads N itself, so a non-integer or
+    negative N is refused before numpy is asked for arrays of that length.
+    """
     if not isinstance(N, (int, np.integer)) or N < 2:
         raise ValueError("lattice size N must be an integer >= 2")
+
+
+def _check_coupling(g: float) -> None:
+    """Refuse a zero coupling scale g, which would decouple every waveguide of
+    a uniform or Glauber-Fock chain."""
+    if g == 0:
+        raise ValueError("coupling g must be nonzero")

@@ -8,7 +8,8 @@ starts with a comment line pinning the 0-based waveguide indexing.
 The parser checks types, finiteness and presence, and the CLI's own
 policies ``n_max >= 1``, ``steps >= 2`` and ``start < stop``.  It leaves each
 value rule to the library function that owns it, called before any Fock
-basis is built, and reports its refusal as a ``ConfigError``.
+basis is built, and reports its refusal as a ``ConfigError``, as it does a
+z grid that numpy cannot allocate.
 """
 
 from __future__ import annotations
@@ -155,7 +156,11 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("z_grid.steps: must be an integer >= 2")
     if not start < stop:
         raise ConfigError("z_grid: start must be strictly below stop")
-    z_values, _ = _owned("z_grid.start", check_sweep, np.linspace(start, stop, steps), (), N)
+    try:
+        z_values = np.linspace(start, stop, steps)
+    except MemoryError as err:  # numpy refuses a grid it cannot allocate
+        raise ConfigError(f"z_grid.steps: {err}") from err
+    z_values, _ = _owned("z_grid.start", check_sweep, z_values, (), N)
 
     for name in ("pairs", "fidelity_targets"):
         if not isinstance(raw.get(name, []), list):

@@ -6,7 +6,8 @@ The Fock basis keeps every occupation vector with total photon number up to
 mass they discarded (``tail_mass``) and are renormalized, so every state has
 unit norm while the truncation error stays visible to callers.  The run
 configs call ``check_occupations``, ``check_mode_pair`` and
-``check_squeezing``, each the one owner of its rule, before any basis exists.
+``check_squeezing``, each the one owner of its rule, before any basis exists;
+``check_truncation`` owns the mode count and photon cut of a basis.
 """
 
 from __future__ import annotations
@@ -62,10 +63,7 @@ class FockBasis:
     """
 
     def __init__(self, num_modes: int, max_total: int):
-        if num_modes < 1:
-            raise ValueError("need at least one mode")
-        if max_total < 0:
-            raise ValueError("max_total must be non-negative")
+        check_truncation(num_modes, max_total)
         self.num_modes = N = int(num_modes)
         self.max_total = int(max_total)
         # the largest offset, the state count, must be an int64 index
@@ -121,6 +119,15 @@ class FockBasis:
         if not 0 <= total <= self.max_total:
             raise ValueError(f"no sector with {total} photons in this basis")
         return int(self._offsets[total]), int(self._offsets[total + 1])
+
+
+def check_truncation(num_modes: int, max_total: int) -> None:
+    """Refuse a truncated space unless it has at least one mode and
+    ``max_total >= 0``; the rules of ``FockBasis`` and ``coherent_moments``."""
+    if num_modes < 1:
+        raise ValueError("need at least one mode")
+    if max_total < 0:
+        raise ValueError("max_total must be non-negative")
 
 
 def check_occupations(occupations, num_modes: int, max_total: int):
@@ -297,6 +304,7 @@ def coherent_moments(alphas, max_total: int) -> MomentSet:
     The input is validated, and a TruncationWarning emitted, exactly as
     ``build_coherent`` does.
     """
+    check_truncation(np.size(alphas), max_total)
     alphas, law, _ = _coherent_law(alphas, np.size(alphas), max_total)
     return MomentSet(math.sqrt(law[:max_total].sum()) * alphas[None, :],
                      np.stack((alphas, alphas))[None],
@@ -425,12 +433,9 @@ def _coherent_law(alphas, num_modes: int, max_total: int):
     where 1 - P(max_total) would cancel, and taken as 1 - P(max_total) below
     that, where the terms to sum would grow with mu.  Emits a
     TruncationWarning when the tail exceeds 1e-8, and refuses light whose
-    unnormalized amplitudes overflow.
+    unnormalized amplitudes overflow.  The caller has passed
+    ``check_truncation``.
     """
-    if num_modes < 1:
-        raise ValueError("need at least one mode")
-    if max_total < 0:
-        raise ValueError("max_total must be non-negative")
     alphas = np.asarray(alphas, dtype=complex)
     if alphas.shape != (num_modes,):
         raise ValueError("need one coherent amplitude per mode")

@@ -267,6 +267,13 @@ class TestUnindexableBasis:
         assert not out_path.exists()
 
 
+def overcommit_mode() -> str | None:
+    try:
+        return Path("/proc/sys/vm/overcommit_memory").read_text().strip()
+    except OSError:
+        return None
+
+
 OCCUPATIONS_RULE = ("state.occupation: occupations need 2 non-negative integer entries "
                     "with total at most 4")
 
@@ -275,7 +282,8 @@ class TestLibraryRulesRefuseBeforeAnyBasis:
     """Each value rule of a config is raised by the one library function that
     owns it, which the parser calls before any Fock basis is built: the run
     exits 2 with a ``config error:`` line that names the field, in the
-    owner's words."""
+    owner's words.  A grid too large to allocate is refused the same way, in
+    numpy's words."""
 
     @pytest.mark.parametrize("mutation,words", [
         pytest.param(lambda c: c["z_grid"].update(start=-1.0),
@@ -310,6 +318,15 @@ class TestLibraryRulesRefuseBeforeAnyBasis:
                                                "r": -0.5}),
                      "state.r: squeezing parameter r must be finite and non-negative",
                      id="squeezing"),
+        pytest.param(lambda c: c.update(lattice={"family": "uniform", "N": 2, "omega": 0.0,
+                                                 "g": 0.0}),
+                     "lattice: coupling g must be nonzero", id="coupling"),
+        # numpy refuses the grid's 7.28 TiB at once under overcommit modes 0
+        # and 2; under mode 1 the kernel would grant it and numpy fill it
+        pytest.param(lambda c: c["z_grid"].update(steps=10**12),
+                     "z_grid.steps: Unable to allocate 7.28 TiB", id="grid",
+                     marks=pytest.mark.skipif(overcommit_mode() not in ("0", "2"),
+                                              reason="the kernel may grant the grid")),
     ])
     def test_exit_2_in_the_owners_words(self, capsys, tmp_path, monkeypatch, mutation, words):
         def refuse(self, *args):

@@ -347,7 +347,7 @@ class TestEvolve:
 
     def test_norm_drift_raises(self, coupler, basis2, monkeypatch):
         # an expansion cut short is not unitary; the sweep must notice
-        monkeypatch.setattr(fockspace, "_degree", lambda x: 2)
+        monkeypatch.setattr(fockspace, "_degree", lambda x: np.full(np.shape(x), 2))
         state = build_fock(basis2, (3, 0))
         with pytest.raises(NumericalInconsistencyError, match="norm drifted"):
             FockEvolver(coupler).sweep(state, [0.0, 2.0])

@@ -57,7 +57,7 @@ class TestUniform:
             make_uniform(bad_n, 0.0, 1.0)
 
     def test_rejects_zero_coupling(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^coupling g must be nonzero$"):
             make_uniform(4, 0.0, 0.0)
 
 
@@ -83,7 +83,7 @@ class TestGlauberFock:
         assert np.allclose(spectrum.eigenvalues, expected, atol=1e-8)
 
     def test_rejects_zero_coupling(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^coupling g must be nonzero$"):
             make_glauber_fock(4, 0.0, 0.0)
 
 

@@ -579,10 +579,13 @@ class TestCoherentMoments:
                 build_coherent(FockBasis(2, max_total), alphas)
 
     def test_rejects_an_empty_chain_and_a_negative_cut(self):
-        with pytest.raises(ValueError, match="at least one mode"):
-            coherent_moments([], 3)
-        with pytest.raises(ValueError, match="non-negative"):
-            coherent_moments([0.5], -1)
+        # in the words of the basis it never builds
+        for refused in (lambda: FockBasis(0, 3), lambda: coherent_moments([], 3)):
+            with pytest.raises(ValueError, match="^need at least one mode$"):
+                refused()
+        for refused in (lambda: FockBasis(2, -1), lambda: coherent_moments([1.0], -1)):
+            with pytest.raises(ValueError, match="^max_total must be non-negative$"):
+                refused()
 
 
 class TestAnalyticTmsvMoments:
