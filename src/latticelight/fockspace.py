@@ -157,7 +157,7 @@ class FockEvolver:
         # so 13 halvings leave each end within 1e-3 / 2 of the width
         (lo, _), (_, hi) = sturm_brackets(spec, (0, spec.size - 1), 13)
         self._center = 0.5 * (lo + hi)
-        self._half_width = 0.5 * (hi - lo)
+        self._half_width = float(0.5 * hi - 0.5 * lo)  # halve first: hi - lo may overflow
 
     def _propagate(self, state: FockState, z_values: np.ndarray):
         """Yield (start, stop, rows, amplitudes, weights) along the grid.

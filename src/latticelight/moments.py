@@ -11,8 +11,8 @@ requested modes.
 The correlation <n_p n_q> is computed exactly as written, i.e. including the
 commutator term delta_{p,q} <n_p> rather than its normally-ordered part
 alone.  ``trace_observables`` is the engine's one readout, for a single
-distance as for a whole grid.  ``check_sweep`` alone refuses a pair index
-out of range, for both engines and for the run configs.
+distance as for a whole grid.  ``check_sweep`` alone refuses a pair that
+is not two mode indices, for both engines and for the run configs.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import Spectrum, check_distances, evolve_modes
-from .states import MomentSet
+from .states import MomentSet, _is_index
 
 __all__ = [
     "NumericalInconsistencyError",
@@ -59,8 +59,8 @@ def check_sweep(z_grid, pairs, num_modes: int):
 
     The grid must be one-dimensional, its distances must pass
     ``spectral.check_distances``, and it must be sorted ascending.  Every
-    pair must hold two integer mode indices in [0, num_modes); a bool is
-    not an index.
+    pair must hold two mode indices (``states._is_index``); each refusal
+    names the pair.
     Returns the grid as a float array and the pairs as a tuple of int pairs.
     """
     z_values = check_distances(z_grid)
@@ -68,12 +68,16 @@ def check_sweep(z_grid, pairs, num_modes: int):
         raise ValueError("z_grid must be one-dimensional")
     if (z_values[1:] < z_values[:-1]).any():
         raise ValueError("z_grid must be sorted ascending")
-    pair_list = tuple((p, q) for p, q in pairs)
-    for p, q in pair_list:
-        if not all(isinstance(j, (int, np.integer)) and not isinstance(j, bool)
-                   and 0 <= j < num_modes for j in (p, q)):
+    pair_list = []
+    for pair in pairs:
+        try:
+            p, q = pair
+        except (TypeError, ValueError):
+            raise ValueError(f"pair {pair!r} is not two mode indices") from None
+        if not (_is_index(p, num_modes) and _is_index(q, num_modes)):
             raise ValueError(f"pair ({p}, {q}) has a mode out of range for {num_modes} modes")
-    return z_values, tuple((int(p), int(q)) for p, q in pair_list)
+        pair_list.append((int(p), int(q)))
+    return z_values, tuple(pair_list)
 
 
 def trace_observables(

@@ -5,9 +5,9 @@ The Fock basis keeps every occupation vector with total photon number up to
 ``max_total``, grouped by total.  Truncated states record the probability
 mass they discarded (``tail_mass``) and are renormalized, so every state has
 unit norm while the truncation error stays visible to callers.  The run
-configs call ``check_occupations``, ``check_mode_pair`` and
-``check_squeezing``, each the one owner of its rule, before any basis exists;
-``check_truncation`` owns the mode count and photon cut of a basis.
+configs call ``check_occupations``, ``check_mode_pair``, ``check_alphas``
+and ``check_squeezing``, each the one owner of its rule, before any basis
+exists; ``check_truncation`` owns the mode count and photon cut of a basis.
 """
 
 from __future__ import annotations
@@ -436,11 +436,7 @@ def _coherent_law(alphas, num_modes: int, max_total: int):
     unnormalized amplitudes overflow.  The caller has passed
     ``check_truncation``.
     """
-    alphas = np.asarray(alphas, dtype=complex)
-    if alphas.shape != (num_modes,):
-        raise ValueError("need one coherent amplitude per mode")
-    if not np.all(np.isfinite(alphas)):
-        raise ValueError("coherent amplitudes must be finite")
+    alphas = check_alphas(alphas, num_modes)
     mu = float(np.vdot(alphas, alphas).real)
 
     def log_terms(n: np.ndarray, log_fact: np.ndarray) -> np.ndarray:
@@ -484,19 +480,35 @@ def _warn_truncation(tail: float, stacklevel: int = 3) -> None:
 
 
 def _normalized(basis, amps, tail) -> FockState:
+    # both builders give the vacuum amplitude exactly 1, so 1 <= kept < inf
     kept = float(np.sum(np.abs(amps) ** 2))
-    if not kept > 0:
-        raise ValueError("state has no support inside the truncated basis")
     return FockState(basis, amps / math.sqrt(kept), tail_mass=tail)
 
 
 def check_mode_pair(num_modes: int, mode_a: int, mode_b: int) -> None:
-    """Refuse a pair of modes unless both lie in [0, num_modes) and differ."""
+    """Refuse a pair of modes unless both are mode indices (``_is_index``)
+    and differ."""
     for mode in (mode_a, mode_b):
-        if not 0 <= mode < num_modes:
+        if not _is_index(mode, num_modes):
             raise ValueError(f"mode {mode} out of range for {num_modes} modes")
     if mode_a == mode_b:
         raise ValueError("the two modes must be distinct")
+
+
+def _is_index(j, num_modes: int) -> bool:
+    """Whether ``j`` is an integer in [0, num_modes); a bool is not an index."""
+    return isinstance(j, (int, np.integer)) and not isinstance(j, bool) and 0 <= j < num_modes
+
+
+def check_alphas(alphas, num_modes: int) -> np.ndarray:
+    """Coherent amplitudes as a complex array, refused unless there is one
+    finite amplitude per mode."""
+    alphas = np.asarray(alphas, dtype=complex)
+    if alphas.shape != (num_modes,):
+        raise ValueError("need one coherent amplitude per mode")
+    if not np.all(np.isfinite(alphas)):
+        raise ValueError("coherent amplitudes must be finite")
+    return alphas
 
 
 def check_squeezing(r: float) -> None:

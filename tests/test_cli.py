@@ -242,6 +242,19 @@ class TestWorkCapRefusal:
         assert "sector 1 needs Chebyshev degree" in err and "work cap" in err
         assert not out_path.exists()
 
+    def test_infinite_reach_exits_2_without_a_warning(self, capsys, tmp_path):
+        # the spectrum's width, 2e308, overflows a float; its half does not,
+        # and the reach of the top sector over z = 10 is infinite
+        cfg = {"lattice": {"explicit": {"omegas": [0.0, 0.0], "couplings": [1e308]}},
+               "state": {"kind": "fock", "occupation": [1, 0]}, "n_max": 1,
+               "z_grid": {"start": 0.0, "stop": 10.0, "steps": 11}, "engine": "fock"}
+        out_path = tmp_path / "trace.csv"
+        code = main(["propagate", "--config", write_config(tmp_path, cfg), "--out", str(out_path)])
+        (line,) = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert line.startswith("refused: sector 1 needs Chebyshev degree inf")
+        assert not out_path.exists()
+
 
 class TestUnindexableBasis:
     """1000 guides with up to 12 photons span 2.25e27 basis states, beyond
@@ -278,12 +291,16 @@ OCCUPATIONS_RULE = ("state.occupation: occupations need 2 non-negative integer e
                     "with total at most 4")
 
 
+GRID_TOO_LARGE = "z_grid.steps: {} float64 distances exceed numpy's largest array"
+
+
 class TestLibraryRulesRefuseBeforeAnyBasis:
     """Each value rule of a config is raised by the one library function that
     owns it, which the parser calls before any Fock basis is built: the run
     exits 2 with a ``config error:`` line that names the field, in the
     owner's words.  A grid too large to allocate is refused the same way, in
-    numpy's words."""
+    numpy's words, and so are a grid whose bytes no numpy array can count and
+    the parser's own refusals of what JSON adds."""
 
     @pytest.mark.parametrize("mutation,words", [
         pytest.param(lambda c: c["z_grid"].update(start=-1.0),
@@ -321,6 +338,62 @@ class TestLibraryRulesRefuseBeforeAnyBasis:
         pytest.param(lambda c: c.update(lattice={"family": "uniform", "N": 2, "omega": 0.0,
                                                  "g": 0.0}),
                      "lattice: coupling g must be nonzero", id="coupling"),
+        # the index rules, the pair shape and the amplitude count
+        pytest.param(lambda c: c.update(lattice={"family": "uniform", "N": 2.5, "omega": 0.0,
+                                                 "g": 1.0}),
+                     "lattice: lattice size N must be an integer >= 2", id="size-float"),
+        pytest.param(lambda c: c.update(lattice={"family": "binary", "N": True, "omega": 0.0,
+                                                 "g": 1.0}),
+                     "lattice: lattice size N must be an integer >= 2", id="size-bool"),
+        pytest.param(lambda c: c.update(state={"kind": "path_entangled", "mode_a": 0.5,
+                                               "mode_b": 1}),
+                     "state: mode 0.5 out of range for 2 modes", id="mode-float"),
+        pytest.param(lambda c: c.update(state={"kind": "tmsv", "mode_a": 0, "mode_b": True,
+                                               "r": 0.5}),
+                     "state: mode True out of range for 2 modes", id="mode-bool"),
+        pytest.param(lambda c: c.update(state={"kind": "path_entangled", "mode_a": 0}),
+                     "state: mode None out of range for 2 modes", id="mode-missing"),
+        pytest.param(lambda c: c.update(pairs=[[0]]),
+                     "pairs: pair [0] is not two mode indices", id="pair-short"),
+        pytest.param(lambda c: c.update(pairs=[[0, 1], 5]),
+                     "pairs: pair 5 is not two mode indices", id="pair-scalar"),
+        pytest.param(lambda c: c.update(pairs=[[0, 1, 1]]),
+                     "pairs: pair [0, 1, 1] is not two mode indices", id="pair-long"),
+        pytest.param(lambda c: c.update(pairs=[[0, True]]),
+                     "pairs: pair (0, True) has a mode out of range for 2 modes", id="pair-bool"),
+        pytest.param(lambda c: c.update(state={"kind": "coherent", "alphas": [0.1, 0.2, 0.3]}),
+                     "state.alphas: need one coherent amplitude per mode", id="alphas-count"),
+        # numpy sizes an array in intp bytes; beyond that it raises before it
+        # allocates, in three ways, and none is a MemoryError
+        pytest.param(lambda c: c["z_grid"].update(steps=2**61),
+                     GRID_TOO_LARGE.format(2**61), id="grid-too-big"),
+        pytest.param(lambda c: c["z_grid"].update(steps=2**63),
+                     GRID_TOO_LARGE.format(2**63), id="grid-beyond-int64"),
+        pytest.param(lambda c: c["z_grid"].update(steps=10**30),
+                     GRID_TOO_LARGE.format(10**30), id="grid-beyond-any-size"),
+        # what JSON adds: the parser's own refusals
+        pytest.param(lambda c: [c], "config.json: top level must be a JSON object",
+                     id="top-level"),
+        pytest.param(lambda c: c.update(lattice=[]), "lattice: must be an object",
+                     id="lattice-object"),
+        pytest.param(lambda c: c["lattice"].update(explicit=[0.0]),
+                     "lattice.explicit: must be an object", id="explicit-object"),
+        pytest.param(lambda c: c["lattice"]["explicit"].update(omegas=[]),
+                     "lattice.explicit.omegas: must be a non-empty list of numbers",
+                     id="explicit-list"),
+        pytest.param(lambda c: c.update(z_grid=[0.0, 1.0, 11]),
+                     "z_grid: must be an object with start, stop, steps", id="grid-object"),
+        pytest.param(lambda c: c["z_grid"].update(start="0"), "z_grid.start: must be a number",
+                     id="number"),
+        pytest.param(lambda c: c.update(state="fock"),
+                     "state: must be an object with a 'kind' field", id="state-object"),
+        pytest.param(lambda c: c["state"].update(occupation=[1.0, 0]),
+                     "state.occupation: must be a list of integers", id="occupation-list"),
+        pytest.param(lambda c: c.update(state={"kind": "coherent", "alphas": 0.5}),
+                     "state.alphas: must be a list of amplitudes", id="alphas-list"),
+        pytest.param(lambda c: c.update(state={"kind": "coherent", "alphas": [[0.1, 0.2, 0.3],
+                                                                              0.0]}),
+                     "state.alphas[0]: must be a number or a [re, im] pair", id="alpha-pair"),
         # numpy refuses the grid's 7.28 TiB at once under overcommit modes 0
         # and 2; under mode 1 the kernel would grant it and numpy fill it
         pytest.param(lambda c: c["z_grid"].update(steps=10**12),
@@ -334,9 +407,9 @@ class TestLibraryRulesRefuseBeforeAnyBasis:
 
         monkeypatch.setattr(states.FockBasis, "__init__", refuse)
         cfg = small_coupler_config()
-        mutation(cfg)
+        payload = mutation(cfg) or cfg  # a mutation may replace the config
         out_path = tmp_path / "trace.csv"
-        argv = ["propagate", "--config", write_config(tmp_path, cfg), "--out", str(out_path)]
+        argv = ["propagate", "--config", write_config(tmp_path, payload), "--out", str(out_path)]
         assert main(argv) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("config error: ") and words in line

@@ -396,6 +396,15 @@ def test_a_raising_run_read_after_a_sound_one_fails_its_check(monkeypatch):
     assert [res.note for res in failed] == ["fock engine: injected"] * 3
 
 
+def test_a_raising_determinism_run_fails_its_check(monkeypatch):
+    def raises(self, *args, **kwargs):
+        raise moments.NumericalInconsistencyError("injected")
+
+    monkeypatch.setattr(fockspace.FockEvolver, "sweep", raises)
+    result = verify.check_determinism()
+    assert (result.passed, result.note) == (False, "fock engine: injected")
+
+
 def test_every_check_is_failed_by_a_fault_or_found_unable_to_fail():
     failed = {name for expected in MATRIX.values() for name in expected}
     names = [res.name for res in run_acceptance()]

@@ -297,6 +297,12 @@ class TestEvolve:
         assert abs(amp_10) < 1e-12
         assert amp_01 == pytest.approx(-1.0j, abs=1e-12)
 
+    def test_zero_vector_sweeps_to_zeros(self, coupler, basis2):
+        zero = FockState(basis2, np.zeros(basis2.size))
+        trace = FockEvolver(coupler).sweep(zero, [0.0, 1.0], [(0, 1)], ["initial"])
+        assert not (trace.means.any() or trace.g2.any() or trace.fid.any())
+        assert trace.means.shape == (2, 2)
+
     def test_transfer_chain_moves_photon(self, basis4):
         spec = make_perfect_transfer(4, 1.0)
         state = build_fock(basis4, (1, 0, 0, 0))

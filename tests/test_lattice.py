@@ -29,6 +29,10 @@ class TestLatticeSpec:
         with pytest.raises(ValueError):
             LatticeSpec(np.zeros(2), np.array([np.inf]))
 
+    def test_rejects_arrays_that_are_not_vectors(self):
+        with pytest.raises(ValueError, match="^omegas must be a one-dimensional real vector$"):
+            LatticeSpec(np.zeros((2, 2)), np.ones(1))
+
     def test_arrays_are_read_only(self):
         spec = make_uniform(3, 0.0, 1.0)
         with pytest.raises(ValueError):

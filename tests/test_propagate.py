@@ -138,6 +138,9 @@ class TestPropagate:
             ([0.0, 1.0], [(-1, 0)]),          # negative index
             ([0.0, 1.0], [(0.7, 1)]),         # not an integer
             ([0.0, 1.0], [(True, False)]),    # booleans are not mode indices
+            ([0.0, 1.0], [7]),                # not a pair
+            ([0.0, 1.0], [(0,)]),             # one index
+            ([0.0, 1.0], [(0, 1, 0)]),        # three indices
         ],
     )
     def test_engines_reject_the_same_inputs_alike(self, coupler, basis2, z_grid, pairs):

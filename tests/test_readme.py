@@ -1,7 +1,8 @@
-"""The library example in README.md runs as documented, and the package
-exports what it documents."""
+"""The library example in README.md runs as documented, the package
+exports what it documents, and the owner table names every rule owner."""
 
 import importlib
+import inspect
 import pkgutil
 import re
 import warnings
@@ -53,10 +54,9 @@ def test_public_surface():
     assert {name.strip() for name in imported.split(",")} <= EXPORTED
 
 
-LISTING = [module.__name__ for module in
-           [latticelight] + [importlib.import_module(f"latticelight.{info.name}")
-                             for info in pkgutil.iter_modules(latticelight.__path__)]
-           if hasattr(module, "__all__")]
+MODULES = [latticelight] + [importlib.import_module(f"latticelight.{info.name}")
+                            for info in pkgutil.iter_modules(latticelight.__path__)]
+LISTING = [module.__name__ for module in MODULES if hasattr(module, "__all__")]
 
 
 @pytest.mark.parametrize("name", LISTING)
@@ -65,3 +65,36 @@ def test_every_listed_name_resolves(name):
     module = importlib.import_module(name)
     assert [entry for entry in module.__all__ if not hasattr(module, entry)] == []
     assert len(set(module.__all__)) == len(module.__all__)
+
+
+def owner_column() -> str:
+    """The owner cells of the README's table of rule owners."""
+    text = README.read_text(encoding="utf-8")
+    table = text[text.index("| rule | owner |"):]
+    rows = table[:table.index("\n\n")].splitlines()[2:]
+    return "\n".join(row.split(" | ")[1] for row in rows)
+
+
+def resolves(dotted: str) -> bool:
+    """Whether the package or one of its modules holds ``dotted``."""
+    for obj in MODULES:
+        for part in dotted.split("."):
+            obj = getattr(obj, part, None)
+        if obj is not None:
+            return True
+    return False
+
+
+def test_owner_table_names_every_rule_owner_and_only_owners_that_exist():
+    # verify's check_* functions are acceptance checks, not input rules
+    owners = {f"{module.__name__.rpartition('.')[2]}.{name}"
+              for module in MODULES if module.__name__ != "latticelight.verify"
+              for name, obj in vars(module).items()
+              if re.fullmatch(r"_?check_\w+", name) and inspect.isfunction(obj)
+              and obj.__module__ == module.__name__}
+    column = owner_column()
+    assert "lattice._check_size" in owners
+    assert sorted(owner for owner in owners if f"`{owner}`" not in column) == []
+    named = re.findall(r"`(_?[A-Za-z]\w*(?:\.\w+)*)`", column)
+    assert "states.check_mode_pair" in named
+    assert [name for name in named if not resolves(name)] == []

@@ -1,5 +1,7 @@
 """Each refusal message of the package is raised from one place, so each rule
-has one owner and its words cannot drift apart between the callers."""
+has one owner and its words cannot drift apart between the callers.  A
+message ``<field>: <text>`` whose ``<text>`` is raised elsewhere is a copy of
+that rule under a config field's name, and counts as one more of its sites."""
 
 import ast
 from collections import defaultdict
@@ -32,6 +34,11 @@ def raise_sites() -> dict[str, list[str]]:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Raise) and (text := message_text(node.exc)) is not None:
                 sites[text].append(f"{path.name}:{node.lineno}")
+    for text, where in list(sites.items()):
+        field, _, rest = text.partition(": ")
+        # a bare "{}" after the field forwards the owner's message, it does not copy it
+        if " " not in field and rest != "{}" and rest in sites:
+            sites[rest] += where
     return sites
 
 

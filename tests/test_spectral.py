@@ -14,7 +14,7 @@ from latticelight import (
     make_perfect_transfer,
     make_uniform,
 )
-from latticelight.spectral import eigendecompose, evolve_modes, jacobi_matrix
+from latticelight.spectral import Spectrum, eigendecompose, evolve_modes, jacobi_matrix
 from latticelight.verify import hermite_zeros
 
 FAMILIES = {
@@ -52,6 +52,17 @@ def leading_component(row):
     """The first component of magnitude at least 1e-8 times the row's largest."""
     magnitudes = np.abs(row)
     return row[np.argmax(magnitudes >= 1e-8 * magnitudes.max())]
+
+
+class TestSpectrum:
+    @pytest.mark.parametrize("values,vectors,words", [
+        ([0.0, 1.0], np.eye(3), "eigenvalues must be length-N, eigenvectors N x N"),
+        ([[0.0, 1.0]], np.eye(2), "eigenvalues must be length-N, eigenvectors N x N"),
+        ([1.0, 0.0], np.eye(2), "eigenvalues must be sorted ascending"),
+    ])
+    def test_rejects_mismatched_or_unsorted_arrays(self, values, vectors, words):
+        with pytest.raises(ValueError, match=f"^{words}$"):
+            Spectrum(values, vectors)
 
 
 class TestJacobiMatrix:

@@ -37,6 +37,11 @@ class TestFockBasis:
             math.comb(n + N - 1, N - 1) for n in range(n_max + 1)
         )
 
+    @pytest.mark.parametrize("total", [-1, 4])
+    def test_no_sector_beyond_the_cut(self, total):
+        with pytest.raises(ValueError, match=f"^no sector with {total} photons in this basis$"):
+            FockBasis(2, 3).sector(total)
+
     def test_sector_ordering(self):
         basis = FockBasis(2, 2)
         occs = [tuple(int(x) for x in row) for row in basis.occupations]
@@ -145,6 +150,10 @@ class TestFockState:
         amplitudes[basis2.rank((1, 0))] = bad
         with pytest.raises(ValueError, match="finite"):
             FockState(basis2, amplitudes)
+
+    def test_rejects_a_vector_of_another_size(self, basis2):
+        with pytest.raises(ValueError, match="^amplitude vector does not match the basis size$"):
+            FockState(basis2, np.zeros(basis2.size + 1))
 
 
 class TestBuildFock:
@@ -586,6 +595,24 @@ class TestCoherentMoments:
         for refused in (lambda: FockBasis(2, -1), lambda: coherent_moments([1.0], -1)):
             with pytest.raises(ValueError, match="^max_total must be non-negative$"):
                 refused()
+
+
+class TestModeIndices:
+    @pytest.mark.parametrize("mode", [0.5, 2.0, True, np.True_, "1", None, -1, 3])
+    def test_every_owner_refuses_a_mode_that_is_not_an_index(self, mode):
+        # in check_mode_pair's words, never as numpy's IndexError or a TypeError
+        basis = FockBasis(3, 4)
+        for refused in (lambda: build_path_entangled(basis, mode, 2),
+                        lambda: build_tmsv(basis, 0, mode, 0.3),
+                        lambda: analytic_moments_tmsv(0.3, mode, 2, 3)):
+            with pytest.raises(ValueError) as caught:
+                refused()
+            assert str(caught.value) == f"mode {mode} out of range for 3 modes"
+
+    def test_numpy_integers_are_indices(self):
+        basis = FockBasis(3, 2)
+        state = build_path_entangled(basis, np.int64(0), np.int32(2))
+        assert state.amplitudes[basis.rank((0, 0, 1))] == pytest.approx(2**-0.5)
 
 
 class TestAnalyticTmsvMoments:
