@@ -7,7 +7,10 @@ Three commands:
 * ``verify``                          run the built-in acceptance checks
 
 Exit codes: 0 success, 1 verification or runtime failure, 2 configuration
-error or a run refused up front by the Fock engine's work cap.
+error or a run refused up front by the Fock engine's work cap.  A
+configuration error names its field, in a library rule's words (``n_max:``
+for a Fock basis beyond int64 indices) or, for an allocation numpy refuses
+while the config is read, in numpy's.
 """
 
 from __future__ import annotations

@@ -59,8 +59,8 @@ def check_sweep(z_grid, pairs, num_modes: int):
 
     The grid must be one-dimensional, its distances must pass
     ``spectral.check_distances``, and it must be sorted ascending.  Every
-    pair must hold two mode indices (``states._is_index``); each refusal
-    names the pair.
+    pair must hold two mode indices (``states._is_index``), and a string
+    holds none; each refusal names the pair.
     Returns the grid as a float array and the pairs as a tuple of int pairs.
     """
     z_values = check_distances(z_grid)
@@ -71,7 +71,7 @@ def check_sweep(z_grid, pairs, num_modes: int):
     pair_list = []
     for pair in pairs:
         try:
-            p, q = pair
+            p, q = () if isinstance(pair, (str, bytes)) else pair  # "01" is no pair
         except (TypeError, ValueError):
             raise ValueError(f"pair {pair!r} is not two mode indices") from None
         if not (_is_index(p, num_modes) and _is_index(q, num_modes)):

@@ -8,8 +8,9 @@ starts with a comment line pinning the 0-based waveguide indexing.
 The parser checks types, finiteness and presence, and the CLI's own
 policies ``n_max >= 1``, ``steps >= 2`` and ``start < stop``.  It leaves each
 value rule to the library function that owns it, called before any Fock
-basis is built, and reports its refusal as a ``ConfigError``, as it does a
-z grid that numpy cannot allocate or hold.
+basis is built.  ``_owned`` alone turns what a library call raises while a
+config is read, a rule's refusal or an allocation numpy refuses, into a
+``ConfigError`` that names the field.
 """
 
 from __future__ import annotations
@@ -110,10 +111,7 @@ def parse_lattice(section) -> LatticeSpec:
         couplings = _number_list(
             explicit.get("couplings"), "lattice.explicit.couplings"
         )
-        try:
-            return LatticeSpec(np.array(omegas), np.array(couplings))
-        except ValueError as err:
-            raise ConfigError(f"lattice.explicit: {err}") from err
+        return _owned("lattice.explicit", LatticeSpec, np.array(omegas), np.array(couplings))
     family = section.get("family")
     if not isinstance(family, str) or family not in _FAMILY_BUILDERS:
         known = ", ".join(sorted(_FAMILY_BUILDERS))
@@ -130,10 +128,7 @@ def parse_lattice(section) -> LatticeSpec:
     for name, value in kwargs.items():
         if name != "N":
             kwargs[name] = _number(value, f"lattice.{name}")
-    try:
-        return builder(**kwargs)
-    except ValueError as err:
-        raise ConfigError(f"lattice: {err}") from err
+    return _owned("lattice", builder, **kwargs)
 
 
 def parse_config(raw: dict) -> RunConfig:
@@ -157,10 +152,7 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("z_grid: start must be strictly below stop")
     if steps > np.iinfo(np.intp).max // 8:  # numpy counts an array's bytes in an intp
         raise ConfigError(f"z_grid.steps: {steps} float64 distances exceed numpy's largest array")
-    try:
-        z_values = np.linspace(start, stop, steps)
-    except MemoryError as err:  # numpy refuses a grid it cannot allocate
-        raise ConfigError(f"z_grid.steps: {err}") from err
+    z_values = _owned("z_grid.steps", np.linspace, start, stop, steps)
     z_values, _ = _owned("z_grid.start", check_sweep, z_values, (), N)
 
     for name in ("pairs", "fidelity_targets"):
@@ -262,49 +254,49 @@ def _build_state(section, N: int, n_max: int, engine: str) -> FockState | Moment
     moments engine alone takes its moments in closed form and builds no basis."""
     if not isinstance(section, dict):
         raise ConfigError("state: must be an object with a 'kind' field")
+
+    def built(field, builder, *args):  # the basis is refused on n_max
+        return _owned(field, builder, _owned("n_max", FockBasis, N, n_max), *args)
+
     kind = section.get("kind")
-    try:
-        if kind == "fock":
-            occupation = section.get("occupation")
-            if not (isinstance(occupation, list) and all(map(_is_int, occupation))):
-                raise ConfigError("state.occupation: must be a list of integers")
-            _owned("state.occupation", check_occupations, occupation, N, n_max)
-            return build_fock(FockBasis(N, n_max), occupation)
-        if kind == "coherent":
-            raw_alphas = section.get("alphas")
-            if not isinstance(raw_alphas, list):
-                raise ConfigError("state.alphas: must be a list of amplitudes")
-            alphas = [
-                _complex_number(a, f"state.alphas[{i}]")
-                for i, a in enumerate(raw_alphas)
-            ]
-            alphas = _owned("state.alphas", check_alphas, alphas, N)
-            if engine == "moments":
-                return coherent_moments(alphas, n_max)
-            return build_coherent(FockBasis(N, n_max), alphas)
-        if kind in ("path_entangled", "tmsv"):
-            modes = section.get("mode_a"), section.get("mode_b")
-            check_mode_pair(N, *modes)
-            if kind == "path_entangled":
-                return build_path_entangled(FockBasis(N, n_max), *modes)
-            r = _number(section.get("r"), "state.r")
-            _owned("state.r", check_squeezing, r)
-            return build_tmsv(FockBasis(N, n_max), *modes, r)
-    except ConfigError:
-        raise
-    except ValueError as err:
-        raise ConfigError(f"state: {err}") from err
+    if kind == "fock":
+        occupation = section.get("occupation")
+        if not (isinstance(occupation, list) and all(map(_is_int, occupation))):
+            raise ConfigError("state.occupation: must be a list of integers")
+        _owned("state.occupation", check_occupations, occupation, N, n_max)
+        return built("state.occupation", build_fock, occupation)
+    if kind == "coherent":
+        raw_alphas = section.get("alphas")
+        if not isinstance(raw_alphas, list):
+            raise ConfigError("state.alphas: must be a list of amplitudes")
+        alphas = [
+            _complex_number(a, f"state.alphas[{i}]")
+            for i, a in enumerate(raw_alphas)
+        ]
+        alphas = _owned("state.alphas", check_alphas, alphas, N)
+        if engine == "moments":
+            return _owned("state.alphas", coherent_moments, alphas, n_max)
+        return built("state.alphas", build_coherent, alphas)
+    if kind in ("path_entangled", "tmsv"):
+        modes = section.get("mode_a"), section.get("mode_b")
+        _owned("state", check_mode_pair, N, *modes)
+        if kind == "path_entangled":
+            return built("state", build_path_entangled, *modes)
+        r = _number(section.get("r"), "state.r")
+        _owned("state.r", check_squeezing, r)
+        return built("state", build_tmsv, *modes, r)
     raise ConfigError(
         f"state.kind: expected fock, coherent, path_entangled or tmsv, got {kind!r}"
     )
 
 
-def _owned(field: str, check, *args):
-    """``check(*args)``, a library rule's owner; its refusal is a ConfigError
-    on ``field``."""
+def _owned(field: str, call, *args, **kwargs):
+    """``call(*args, **kwargs)``, a library call made while a config is read;
+    a rule's refusal (ValueError) or an allocation numpy refuses (MemoryError)
+    is a ConfigError on ``field``."""
     try:
-        return check(*args)
-    except ValueError as err:
+        return call(*args, **kwargs)
+    except (ValueError, MemoryError) as err:
         raise ConfigError(f"{field}: {err}") from err
 
 

@@ -132,11 +132,14 @@ def check_truncation(num_modes: int, max_total: int) -> None:
 
 def check_occupations(occupations, num_modes: int, max_total: int):
     """Occupation vectors along the last axis as an array, refused unless each
-    holds ``num_modes`` entries of an integer type, none negative, with total
-    at most ``max_total``.  Entries are bounded before they are summed, so no
-    total wraps around int64 into range."""
+    holds ``num_modes`` entries of an integer type, none a bool or negative,
+    with total at most ``max_total``.  Entries are bounded before they are
+    summed, so no total wraps around int64 into range."""
     occ = np.asarray(occupations)
-    if occ.dtype.kind not in "iu" or occ.shape[-1:] != (num_modes,) or occ.size and not (
+    # numpy reads a bool listed among integers as 0 or 1; no integer array holds one
+    bools = not isinstance(occupations, np.ndarray) and any(
+        isinstance(n, (bool, np.bool_)) for n in np.asarray(occupations, dtype=object).flat)
+    if bools or occ.dtype.kind not in "iu" or occ.shape[-1:] != (num_modes,) or occ.size and not (
             0 <= occ.min() <= occ.max() <= max_total and occ.sum(axis=-1).max() <= max_total):
         raise ValueError(f"occupations need {num_modes} non-negative integer entries "
                          f"with total at most {max_total}")
@@ -205,9 +208,6 @@ class FockState:
             raise ValueError("amplitudes must be finite")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 @dataclass(frozen=True, eq=False)

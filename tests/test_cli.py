@@ -1,3 +1,4 @@
+import functools
 import importlib
 import json
 import math
@@ -116,7 +117,7 @@ class TestConfigParsing:
         cfg = small_coupler_config()
         cfg["state"] = {"kind": "coherent", "alphas": [[0.0, 1.0], 0.5]}
         parsed = parse_config(cfg)
-        assert parsed.state.norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(parsed.state.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("engine", ["moments", "both"])
     def test_one_coherent_amplitude_per_waveguide(self, engine):
@@ -258,8 +259,8 @@ class TestWorkCapRefusal:
 
 class TestUnindexableBasis:
     """1000 guides with up to 12 photons span 2.25e27 basis states, beyond
-    int64 indices: the state is refused as a config error before any
-    array is made."""
+    int64 indices: the basis is refused as a config error on ``n_max``
+    before any array is made."""
 
     @pytest.mark.parametrize("state", [
         {"kind": "fock", "occupation": [1] + [0] * 999},
@@ -275,7 +276,7 @@ class TestUnindexableBasis:
         code = main(["propagate", "--config", write_config(tmp_path, cfg), "--out", str(out_path)])
         assert time.perf_counter() - start < 1.0
         assert code == 2
-        assert ("config error: state: 1000 modes with up to 12 photons span 2.25e27 "
+        assert ("config error: n_max: 1000 modes with up to 12 photons span 2.25e27 "
                 "basis states") in capsys.readouterr().err
         assert not out_path.exists()
 
@@ -298,9 +299,9 @@ class TestLibraryRulesRefuseBeforeAnyBasis:
     """Each value rule of a config is raised by the one library function that
     owns it, which the parser calls before any Fock basis is built: the run
     exits 2 with a ``config error:`` line that names the field, in the
-    owner's words.  A grid too large to allocate is refused the same way, in
-    numpy's words, and so are a grid whose bytes no numpy array can count and
-    the parser's own refusals of what JSON adds."""
+    owner's words.  A grid or lattice too large to allocate is refused the
+    same way, in numpy's words, and so are a grid whose bytes no numpy array
+    can count and the parser's own refusals of what JSON adds."""
 
     @pytest.mark.parametrize("mutation,words", [
         pytest.param(lambda c: c["z_grid"].update(start=-1.0),
@@ -361,6 +362,8 @@ class TestLibraryRulesRefuseBeforeAnyBasis:
                      "pairs: pair [0, 1, 1] is not two mode indices", id="pair-long"),
         pytest.param(lambda c: c.update(pairs=[[0, True]]),
                      "pairs: pair (0, True) has a mode out of range for 2 modes", id="pair-bool"),
+        pytest.param(lambda c: c.update(pairs=["01"]),
+                     "pairs: pair '01' is not two mode indices", id="pair-string"),
         pytest.param(lambda c: c.update(state={"kind": "coherent", "alphas": [0.1, 0.2, 0.3]}),
                      "state.alphas: need one coherent amplitude per mode", id="alphas-count"),
         # numpy sizes an array in intp bytes; beyond that it raises before it
@@ -389,6 +392,10 @@ class TestLibraryRulesRefuseBeforeAnyBasis:
                      "state: must be an object with a 'kind' field", id="state-object"),
         pytest.param(lambda c: c["state"].update(occupation=[1.0, 0]),
                      "state.occupation: must be a list of integers", id="occupation-list"),
+        pytest.param(lambda c: c["state"].update(occupation=[True, 0]),
+                     "state.occupation: must be a list of integers", id="occupation-bool"),
+        pytest.param(lambda c: c["state"].update(occupation=[[1, 0], [0, 1]]),
+                     "state.occupation: must be a list of integers", id="occupation-nested"),
         pytest.param(lambda c: c.update(state={"kind": "coherent", "alphas": 0.5}),
                      "state.alphas: must be a list of amplitudes", id="alphas-list"),
         pytest.param(lambda c: c.update(state={"kind": "coherent", "alphas": [[0.1, 0.2, 0.3],
@@ -400,6 +407,12 @@ class TestLibraryRulesRefuseBeforeAnyBasis:
                      "z_grid.steps: Unable to allocate 7.28 TiB", id="grid",
                      marks=pytest.mark.skipif(overcommit_mode() not in ("0", "2"),
                                               reason="the kernel may grant the grid")),
+        # and a family lattice's 8.00 TiB of detunings the same way
+        pytest.param(lambda c: c.update(lattice={"family": "uniform", "N": 2**40, "omega": 0.0,
+                                                 "g": 1.0}),
+                     "lattice: Unable to allocate 8.00 TiB", id="lattice-allocation",
+                     marks=pytest.mark.skipif(overcommit_mode() not in ("0", "2"),
+                                              reason="the kernel may grant the lattice")),
     ])
     def test_exit_2_in_the_owners_words(self, capsys, tmp_path, monkeypatch, mutation, words):
         def refuse(self, *args):
@@ -413,6 +426,48 @@ class TestLibraryRulesRefuseBeforeAnyBasis:
         assert main(argv) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("config error: ") and words in line
+        assert not out_path.exists()
+
+
+NUMPY_REFUSAL = "Unable to allocate 1.00 TiB for an array with shape (2**37,) and data type float64"
+
+
+class TestAllocationsNumpyRefuses:
+    """An allocation numpy refuses while a config is read, in a lattice
+    builder, the Fock basis or a state builder, exits 2 as a config error on
+    the field it concerns, in numpy's words."""
+
+    @pytest.mark.parametrize("name,mutation,field", [
+        ("LatticeSpec", lambda c: None, "lattice.explicit"),
+        ("make_uniform", lambda c: c.update(lattice={"family": "uniform", "N": 2, "omega": 0.0,
+                                                     "g": 1.0}), "lattice"),
+        ("FockBasis", lambda c: None, "n_max"),
+        ("build_fock", lambda c: None, "state.occupation"),
+        ("build_coherent", lambda c: c.update(state={"kind": "coherent", "alphas": [0.1, 0.2]}),
+         "state.alphas"),
+        ("coherent_moments", lambda c: c.update(state={"kind": "coherent", "alphas": [0.1, 0.2]},
+                                                engine="moments", fidelity_targets=[]),
+         "state.alphas"),
+        ("build_path_entangled",
+         lambda c: c.update(state={"kind": "path_entangled", "mode_a": 0, "mode_b": 1}), "state"),
+        ("build_tmsv",
+         lambda c: c.update(state={"kind": "tmsv", "mode_a": 0, "mode_b": 1, "r": 0.5}), "state"),
+    ])
+    def test_exit_2_on_the_field(self, capsys, tmp_path, monkeypatch, name, mutation, field):
+        def refuse(*args, **kwargs):
+            raise MemoryError(NUMPY_REFUSAL)
+
+        if name == "make_uniform":  # the parser reads the builder's table and signature
+            monkeypatch.setitem(runner._FAMILY_BUILDERS, "uniform",
+                                functools.wraps(make_uniform)(refuse))
+        else:
+            monkeypatch.setattr(runner, name, refuse)
+        cfg = small_coupler_config()
+        mutation(cfg)
+        out_path = tmp_path / "trace.csv"
+        argv = ["propagate", "--config", write_config(tmp_path, cfg), "--out", str(out_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {field}: {NUMPY_REFUSAL}\n"
         assert not out_path.exists()
 
 

@@ -130,7 +130,9 @@ class TestFockBasis:
          # entries of a non-integer type are refused, not truncated
          (0.5, 0.5, 0), (1.9, 0, 0), (1.0, 0.0, 2.0), (1, math.nan, 0), (math.inf, 0, 0),
          # int64 entries whose total wraps around to a negative number
-         (2**63 - 1, 1, 0), (2**62, 2**62, 2**62)],
+         (2**63 - 1, 1, 0), (2**62, 2**62, 2**62),
+         # a bool among integers, which numpy would read as 0 or 1
+         (True, 0, 0), (1, np.False_, 0)],
     )
     def test_index_of_rejects_occupations_outside_the_basis(self, occupation):
         # build_fock and rank, the two ways to place an occupation vector
@@ -218,7 +220,7 @@ class TestBuildCoherent:
 
     def test_unit_norm(self, basis2):
         state = build_coherent(basis2, [1.0, 0.5j])
-        assert state.norm() == pytest.approx(1.0, abs=1e-14)
+        assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-14)
 
     def test_warns_when_tail_exceeds_bound(self):
         basis = FockBasis(2, 3)
