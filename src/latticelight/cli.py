@@ -10,13 +10,15 @@ Exit codes: 0 success, 1 verification or runtime failure, 2 configuration
 error or a run refused up front by the Fock engine's work cap.  A
 configuration error names its field, in a library rule's words (``n_max:``
 for a Fock basis beyond int64 indices) or, for an allocation numpy refuses
-while the config is read, in numpy's.
+while the config is read, in numpy's.  A warning the library raises, such as
+a ``TruncationWarning``, is shown on stderr as one line, ``warning: <message>``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from .fockspace import WorkCapError
 from .runner import ConfigError, load_config, run_propagate, run_spectrum
@@ -43,6 +45,8 @@ def main(argv=None) -> int:
     commands.add_parser("verify", help="run the built-in acceptance checks")
 
     args = parser.parse_args(argv)
+    shown = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         if args.command == "spectrum":
             sys.stdout.write(run_spectrum(load_config(args.config)))
@@ -67,6 +71,8 @@ def main(argv=None) -> int:
     except Exception as err:  # surface runtime failures without a traceback
         print(f"error: {err}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = shown
 
 
 if __name__ == "__main__":

@@ -93,7 +93,10 @@ def trace_observables(
     norm <n_p n_q> = sum_r |A_r|^2 of the evolved pair vector (plus <n_p>
     when p == q), with A_r = sum_s c[s, r] ((U x_s)_p (U x'_s)_q +
     (U x'_s)_p (U x_s)_q) / 2 read from the dyads at the requested modes
-    only.  The grid and ``pairs`` pass ``check_sweep``; ``pairs`` selects
+    only: a sweep over Z distances with m requested modes then costs
+    Z N (N T + m S) operations for T vectors and S dyads, and holds
+    Z (N T + m S) numbers, with no [Z, N, N] stack of transfer matrices.
+    The grid and ``pairs`` pass ``check_sweep``; ``pairs`` selects
     the (p, q) correlations (none yields means only).  Means below -1e-10,
     a total photon number that drifts by more than 1e-10 and non-finite
     correlations raise ``NumericalInconsistencyError``.

@@ -22,15 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lattice
 from .fockspace import FockEvolver, check_targets
-from .lattice import (
-    LatticeSpec,
-    make_binary,
-    make_glauber_fock,
-    make_jacobi_semi_infinite,
-    make_perfect_transfer,
-    make_uniform,
-)
+from .lattice import LatticeSpec
 from .moments import NumericalInconsistencyError, Trace, check_sweep, trace_observables
 from .spectral import eigendecompose
 from .states import (
@@ -58,13 +52,9 @@ INDEXING_NOTE = "# waveguide indices are 0-based: index 0 is the first waveguide
 DEFAULT_N_MAX = 12
 ENGINES = ("moments", "fock", "both")
 
-_FAMILY_BUILDERS = {
-    "uniform": make_uniform,
-    "glauber_fock": make_glauber_fock,
-    "binary": make_binary,
-    "perfect_transfer": make_perfect_transfer,
-    "jacobi_semi_infinite": make_jacobi_semi_infinite,
-}
+# each public make_<family> builder of ``lattice`` is the family <family>
+_FAMILY_BUILDERS = {name.removeprefix("make_"): getattr(lattice, name)
+                    for name in lattice.__all__ if name.startswith("make_")}
 
 
 class ConfigError(ValueError):
@@ -251,7 +241,8 @@ def engine_gate(first: Trace, second: Trace) -> tuple[float, float]:
 
 def _build_state(section, N: int, n_max: int, engine: str) -> FockState | MomentSet:
     """The configured state in ``FockBasis(N, n_max)``; coherent input on the
-    moments engine alone takes its moments in closed form and builds no basis."""
+    moments engine alone takes its moments in closed form and builds no basis,
+    so it reaches chains whose basis could never be stored."""
     if not isinstance(section, dict):
         raise ConfigError("state: must be an object with a 'kind' field")
 

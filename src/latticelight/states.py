@@ -278,6 +278,7 @@ def build_coherent(basis: FockBasis, alphas) -> FockState:
     1e-8.
     """
     alphas, _, tail = _coherent_law(alphas, basis.num_modes, basis.max_total)
+    _warn_truncation(tail)
     # coef[j, n] = alpha_j^n / sqrt(n!) as a running product, since alpha_j^n and
     # sqrt(n!) can each overflow where their ratio does not; exp(-|alpha_j|^2 / 2)
     # cancels, and would underflow
@@ -302,10 +303,13 @@ def coherent_moments(alphas, max_total: int) -> MomentSet:
     state, giving the pair factor of one dyad alpha (x) alpha with
     coefficient sqrt(P(M - 2) / P(M)).
     The input is validated, and a TruncationWarning emitted, exactly as
-    ``build_coherent`` does.
+    ``build_coherent`` does.  Past n = 2 mu the Poisson terms fall below
+    rounding within 64 more, so the law and the arrays stop there, however
+    large ``max_total`` is.
     """
     check_truncation(np.size(alphas), max_total)
-    alphas, law, _ = _coherent_law(alphas, np.size(alphas), max_total)
+    alphas, law, tail = _coherent_law(alphas, np.size(alphas), max_total)
+    _warn_truncation(tail)
     return MomentSet(math.sqrt(law[:max_total].sum()) * alphas[None, :],
                      np.stack((alphas, alphas))[None],
                      [[math.sqrt(law[:max(max_total - 1, 0)].sum())]])
@@ -354,7 +358,9 @@ def moments_of(state: FockState) -> MomentSet:
     <a_j^dag a_k> = <lowered[j]|lowered[k]>, and, since the annihilators
     commute, the P = N (N + 1) / 2 pair vectors with a <= b give the pair
     factor W[a, b, r].  Each dense slice W_r is held as the dyads
-    e_l (x) W_r[l, :] of its nonzero rows.
+    e_l (x) W_r[l, :] of its nonzero rows.  So one photon, alone or shared
+    between two modes, at max_total = 1 has one mode vector and no dyads on
+    any N.
     """
     basis = state.basis
     N = basis.num_modes
@@ -428,13 +434,13 @@ def _coherent_law(alphas, num_modes: int, max_total: int):
 
     The untruncated total is Poisson with mean mu = sum |alpha_j|^2, with
     terms p_n = exp(-mu) mu^n / n!.  Returns (alphas, law, tail): law[n] =
-    p_n / P(max_total) for n up to max_total, with P the Poisson CDF; tail =
-    sum_{n > max_total} p_n, summed term by term while P(max_total) >= 1/2,
-    where 1 - P(max_total) would cancel, and taken as 1 - P(max_total) below
-    that, where the terms to sum would grow with mu.  Emits a
-    TruncationWarning when the tail exceeds 1e-8, and refuses light whose
-    unnormalized amplitudes overflow.  The caller has passed
-    ``check_truncation``.
+    p_n / P(max_total) for n up to min(max_total, 2 mu + 64), with P the
+    Poisson CDF; tail = sum_{n > max_total} p_n, summed term by term while
+    P(max_total) >= 1/2, where 1 - P(max_total) would cancel, and taken as
+    1 - P(max_total) below that, where the terms to sum would grow with mu.
+    Refuses light whose unnormalized amplitudes overflow; the caller warns
+    of the tail (``_warn_truncation``), so the warning names its own caller.
+    The caller has passed ``check_truncation``.
     """
     alphas = check_alphas(alphas, num_modes)
     mu = float(np.vdot(alphas, alphas).real)
@@ -445,7 +451,8 @@ def _coherent_law(alphas, num_modes: int, max_total: int):
             return np.where(n == 0, 0.0, -np.inf)
         return n * math.log(mu) - log_fact
 
-    n = np.arange(max_total + 1)
+    # past n = 2 mu each term is below half the one before: the law stops 64 terms on
+    n = np.arange(min(max_total, 2 * math.ceil(mu) + 64) + 1 if math.isfinite(mu) else 1)
     log_fact = np.cumsum(np.log(np.maximum(n, 1)))
     # the squared amplitudes sum to sum_n mu^n / n! <= (max_total + 1) max_n mu^n / n!;
     # a mu that overflowed to inf is refused before 0 * log(mu) makes a NaN
@@ -457,25 +464,25 @@ def _coherent_law(alphas, num_modes: int, max_total: int):
     if kept < 0.5:
         tail = 1.0 - kept
     else:
-        # the median lies within max_total, so mu <= max_total + 1; log n!
-        # runs on past max_total, and past n = 2 mu each term is below half
-        # the one before, so the terms more than 64 further on are dropped
+        # the median lies within max_total, so mu <= max_total + 1; the far
+        # tail stops as the law does, 64 terms past both max_total and 2 mu
         far = np.arange(max_total + 1, int(max(max_total, 2.0 * mu + 1.0)) + 65)
-        tail = math.fsum(np.exp(log_terms(far, log_fact[-1] + np.cumsum(np.log(far))) - mu))
-    _warn_truncation(tail, stacklevel=4)
+        log_fact = math.lgamma(max_total + 1) + np.cumsum(np.log(far))
+        tail = math.fsum(np.exp(log_terms(far, log_fact) - mu))
     # scaled by the largest term, so the law survives an underflowing P
     law = np.exp(head - np.max(head))
     return alphas, law / np.sum(law), tail
 
 
-def _warn_truncation(tail: float, stacklevel: int = 3) -> None:
-    """Warn, at the caller of the state builder, of a tail above its bound."""
+def _warn_truncation(tail: float) -> None:
+    """Warn, at the caller of the state builder that calls this, of a tail
+    above its bound."""
     if tail > _TAIL_BOUND:
         warnings.warn(
             f"truncation discarded probability {tail:.3e} "
             f"(bound {_TAIL_BOUND:.1e}); consider a larger max_total",
             TruncationWarning,
-            stacklevel=stacklevel,
+            stacklevel=3,
         )
 
 

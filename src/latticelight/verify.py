@@ -6,7 +6,9 @@ deterministic output) to an explicit tolerance.  ``run_acceptance`` executes
 all of them and is what the ``verify`` CLI command reports.
 
 The figure-level checks read the eight shipped ``configs/fig*.json`` runs,
-parsed as ``propagate`` parses them and propagated once per engine.  A run
+parsed as ``propagate`` parses them and propagated once per engine.  No run
+goes through ``propagate``'s both-engine gate: the ``engine-equivalence-*``
+checks compare the engines themselves.  A run
 that raises ``NumericalInconsistencyError`` leaves a NaN trace, so each check
 that reads it fails by name, with the error as its note.
 
@@ -108,7 +110,8 @@ def hermite_zeros(n: int) -> np.ndarray:
     They are the eigenvalues of the Jacobi matrix of the recursion
     x H_k = H_(k+1) / 2 + k H_(k-1), whose orthonormal form has zero diagonal
     and couplings sqrt(k / 2) for k = 1 .. n - 1.  Sturm-count bisection
-    halves each zero's Gershgorin bracket 64 times, past double precision."""
+    halves each zero's Gershgorin bracket 64 times, past double precision,
+    with the Fock engine's bracket routine ``sturm_brackets``."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
@@ -208,7 +211,8 @@ def check_coupler_phase() -> CheckResult:
     """Balanced coupler, coherent amplitudes (1, i) / sqrt(2): the means
     (1 + sin 2z) / 2 and (1 - sin 2z) / 2 tell z from -z, which no real
     input on a real chain does.  Both engines read the state truncated at
-    n_max = 20, whose Poisson(1) tail of about 7e-21 stays below rounding."""
+    n_max = 20, whose Poisson(1) tail of about 7e-21 stays below rounding.
+    A propagator run as exp(+iHz) misses the means by up to 1."""
     state = build_coherent(FockBasis(2, 20), np.array([1.0, 1.0j]) / math.sqrt(2.0))
     z_values = np.linspace(0.0, 0.5 * math.pi, 5)
     swing = np.sin(2.0 * z_values)
@@ -220,10 +224,13 @@ def check_coupler_phase() -> CheckResult:
 
 def check_coherent_detuned_return() -> CheckResult:
     """Coherent light on a chain with omega = 0.4, where the Fock engine's
-    sector centre is nonzero.  exp(-iHz) maps the n-photon part of |alpha>
-    onto that of |U alpha>, so at M = 7 photons (a tail below 1e-8) the return
-    fidelity is |sum_{n<=M} x^n / n!| / sum_{n<=M} mu^n / n!, exactly, with
-    x = alpha^dag U(z) alpha from ``evolve_modes`` and mu = |alpha|^2."""
+    sector centre is nonzero; every figure has zero detuning.  exp(-iHz)
+    maps the n-photon part of |alpha> onto that of |U alpha>, so at M = 7
+    photons (a tail below 1e-8) the return fidelity is
+    |sum_{n<=M} x^n / n!| / sum_{n<=M} mu^n / n!, exactly, with
+    x = alpha^dag U(z) alpha from ``evolve_modes`` and mu = |alpha|^2.  A
+    flipped detuning sign in either engine, or a sector phase on the wrong
+    sector, misses it."""
     spec = make_uniform(4, 0.4, 1.0)
     alphas = np.array([0.5, 0.25, 0.0, 0.0])
     z_values = np.linspace(0.0, 3.0, 31)
@@ -323,7 +330,11 @@ def check_engine_equivalence(figures) -> list[CheckResult]:
 
 
 def check_conservation_unitarity() -> list[CheckResult]:
-    """Orthogonality, residuals, unitarity and conservation on random chains."""
+    """Orthogonality, residuals, unitarity and conservation on random chains.
+
+    ``transfer-unitarity`` and ``transfer-composition`` apply the moments
+    engine's own propagator, ``evolve_modes``, to the unit vectors, so they
+    test the code every moments run executes."""
     rng = np.random.default_rng(20260808)
     orth_err = 0.0
     resid_err = 0.0

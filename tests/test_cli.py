@@ -1,14 +1,17 @@
 import functools
 import importlib
+import inspect
 import json
 import math
 import os
 import pkgutil
 import re
+import resource
 import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -16,7 +19,7 @@ import numpy as np
 import pytest
 
 import latticelight
-from latticelight import TruncationWarning, make_uniform, runner, states
+from latticelight import TruncationWarning, lattice, make_uniform, runner, states
 from latticelight.cli import main
 from latticelight.runner import (
     ConfigError,
@@ -45,6 +48,15 @@ def write_config(tmp_path, payload) -> str:
     return str(path)
 
 
+def fresh_interpreter(*args, **kwargs) -> subprocess.CompletedProcess:
+    """``python *args`` in a new interpreter that imports this checkout's
+    package; it shows every warning on stderr, as a user sees it."""
+    src = str(Path(latticelight.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=path), **kwargs)
+
+
 def small_coupler_config():
     return {
         "lattice": {"explicit": {"omegas": [0.0, 0.0], "couplings": [1.0]}},
@@ -70,8 +82,22 @@ class TestConfigParsing:
         spec = parse_lattice({"family": "perfect_transfer", "N": 4, "z_t": 1.0})
         assert spec.couplings[1] == pytest.approx(math.pi)
 
+    @pytest.mark.parametrize("name", [name for name in lattice.__all__
+                                      if name.startswith("make_")])
+    def test_family_lattices_match_their_builders(self, name):
+        # the family make_<family> builds, from the parameters it takes
+        builder = getattr(lattice, name)
+        values = {"N": 5, "omega": 0.3, "g": 0.7, "z_t": 1.5}
+        kwargs = {key: values[key] for key in inspect.signature(builder).parameters}
+        spec = parse_lattice({"family": name.removeprefix("make_"), **kwargs})
+        expected = builder(**kwargs)
+        assert np.array_equal(spec.omegas, expected.omegas)
+        assert np.array_equal(spec.couplings, expected.couplings)
+
     def test_unknown_family(self):
-        with pytest.raises(ConfigError, match="lattice.family"):
+        with pytest.raises(ConfigError, match=re.escape(
+                "lattice.family: expected one of binary, glauber_fock, jacobi_semi_infinite, "
+                "perfect_transfer, uniform (or an 'explicit' block), got 'moebius'")):
             parse_lattice({"family": "moebius", "N": 3})
 
     def test_missing_family_parameter(self):
@@ -505,6 +531,27 @@ class TestOverflowScaleChains:
 
 
 class TestPropagateCommand:
+    @pytest.mark.parametrize("name,stderr", [
+        ("fig1_row4", "warning: truncation discarded probability 4.572e-04 (bound 1.0e-08); "
+                      "consider a larger max_total\n"),
+        ("fig1_row1", ""),
+    ], ids=["fig1_row4", "fig1_row1"])
+    def test_shows_a_library_warning_as_one_line(self, tmp_path, name, stderr):
+        config = Path(latticelight.__file__).parent / "configs" / f"{name}.json"
+        done = fresh_interpreter("-m", "latticelight", "propagate", "--config", str(config),
+                                 "--out", str(tmp_path / "trace.csv"))
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == stderr
+
+    def test_restores_the_warning_formatter(self, tmp_path):
+        shown = warnings.formatwarning
+        argv = ["propagate", "--out", str(tmp_path / "trace.csv"), "--config"]
+        with pytest.warns(TruncationWarning):
+            assert main(argv + [write_config(tmp_path, preset("fig1_row4"))]) == 0
+        assert warnings.formatwarning is shown
+        assert main(argv + [write_config(tmp_path, {"lattice": None})]) == 2
+        assert warnings.formatwarning is shown
+
     @pytest.mark.parametrize("family", [["uniform"], {"a": 1}])
     def test_non_string_family_exit_code(self, capsys, tmp_path, family):
         cfg = small_coupler_config()
@@ -755,6 +802,24 @@ class TestMomentsOnlyCoherentRun:
         assert np.max(np.abs(table[:, 1:N + 1] - r1 * weights)) <= 1e-12
         assert np.max(np.abs(table[:, N + 1:] - expected)) <= 1e-12
 
+    def test_a_huge_cut_reads_as_the_law_where_its_terms_vanish(self, tmp_path):
+        # past n = 2 mu the Poisson terms halve at each step, so n_max 10**12
+        # gives the bytes of n_max 64 (here mu = 0.61), and its law is not
+        # sized by n_max (8 TB of int64); the address space is limited in
+        # the child process alone
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1536 * 2**20, 1536 * 2**20))
+
+        traces = []
+        for n_max in (64, 10**12):
+            out_path = tmp_path / f"trace{n_max}.csv"
+            config = write_config(tmp_path, {**self.config(4, "moments"), "n_max": n_max})
+            done = fresh_interpreter("-m", "latticelight", "propagate", "--config", config,
+                                     "--out", str(out_path), preexec_fn=limit)
+            assert done.returncode == 0, done.stderr
+            traces.append(out_path.read_bytes())
+        assert traces[0] == traces[1]
+
     def test_moments_engine_forms_no_transfer_matrix(self, tmp_path, monkeypatch):
         # the moments engine evolves mode vectors; propagating the unit
         # vectors, i.e. forming a [Z, N, N] stack of transfer matrices, is
@@ -923,12 +988,7 @@ class TestVerifyCommand:
         assert "unrecognized arguments: --inject-fault coupling_sign" in capsys.readouterr().err
 
     def test_writes_nothing_to_stderr(self):
-        # a fresh interpreter shows every warning on stderr, as a user sees it
-        src = str(Path(latticelight.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        done = subprocess.run([sys.executable, "-m", "latticelight", "verify"],
-                              capture_output=True, text=True, timeout=300,
-                              env=dict(os.environ, PYTHONPATH=path))
+        done = fresh_interpreter("-m", "latticelight", "verify")
         assert done.returncode == 0, done.stdout
         assert done.stderr == ""
         assert done.stdout.splitlines()[-1] == "all 32 checks passed"
@@ -946,8 +1006,5 @@ class TestVerifyCommand:
             f"'--out', {str(tmp_path / 'out.csv')!r}]) == 0\n"
             "assert not loaded()\n"
         )
-        src = str(Path(latticelight.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              timeout=300, env=dict(os.environ, PYTHONPATH=path))
+        done = fresh_interpreter("-c", script)
         assert done.returncode == 0, done.stderr

@@ -1,4 +1,5 @@
 import functools
+import inspect
 import itertools
 import math
 import tracemalloc
@@ -597,6 +598,21 @@ class TestCoherentMoments:
         for refused in (lambda: FockBasis(2, -1), lambda: coherent_moments([1.0], -1)):
             with pytest.raises(ValueError, match="^max_total must be non-negative$"):
                 refused()
+
+
+class TestTruncationWarning:
+    @pytest.mark.parametrize("build,args", [
+        (build_coherent, lambda: (FockBasis(2, 3), [1.5, 0.0])),
+        (coherent_moments, lambda: ([1.5, 0.0], 3)),
+        (build_tmsv, lambda: (FockBasis(2, 4), 0, 1, 1.0)),
+    ], ids=["build_coherent", "coherent_moments", "build_tmsv"])
+    def test_names_the_callers_line(self, build, args):
+        # each builder warns of its own tail, at the line that called it
+        args = args()
+        line = inspect.currentframe().f_lineno + 2
+        with pytest.warns(TruncationWarning) as record:
+            build(*args)
+        assert [(w.filename, w.lineno) for w in record] == [(__file__, line)]
 
 
 class TestModeIndices:
